@@ -6,8 +6,11 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <string>
 
 #include "vfpga/core/testbed.hpp"
+#include "vfpga/fpga/perf_counter.hpp"
+#include "vfpga/mem/host_memory.hpp"
 #include "vfpga/net/checksum.hpp"
 #include "vfpga/net/ethernet.hpp"
 #include "vfpga/net/ipv4.hpp"
@@ -28,6 +31,61 @@ void BM_Checksum(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Checksum)->Arg(64)->Arg(512)->Arg(1500);
+
+void BM_UdpParseVerify(benchmark::State& state) {
+  const Bytes payload(static_cast<std::size_t>(state.range(0)), 0x5a);
+  const net::Ipv4Addr src = net::Ipv4Addr::from_octets(10, 0, 0, 1);
+  const net::Ipv4Addr dst = net::Ipv4Addr::from_octets(10, 0, 0, 2);
+  const Bytes udp =
+      net::build_udp_datagram(net::UdpHeader{1, 2}, src, dst, payload);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::parse_udp_datagram(udp, src, dst));
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(udp.size()));
+}
+BENCHMARK(BM_UdpParseVerify)->Arg(64)->Arg(1024);
+
+// One write then one read of range(0) bytes, stepping through a 64 KiB
+// DMA region the way ring and packet-buffer accesses do.
+void BM_HostMemoryReadWrite(benchmark::State& state) {
+  constexpr u64 kRegion = 64 * 1024;
+  const auto size = static_cast<u64>(state.range(0));
+  mem::HostMemory memory;
+  const HostAddr base = memory.allocate(kRegion, mem::HostMemory::kPageSize);
+  const Bytes in(size, 0x3c);
+  Bytes out(size);
+  u64 offset = 0;
+  for (auto _ : state) {
+    memory.write(base + offset, in);
+    memory.read(base + offset, out);
+    benchmark::DoNotOptimize(out.data());
+    offset = (offset + 2048) % (kRegion - size);
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          state.range(0) * 2);
+}
+BENCHMARK(BM_HostMemoryReadWrite)->Arg(8)->Arg(64)->Arg(1024);
+
+// Captures with the XDMA engines' event names. The bank is reset every
+// few thousand captures so its history stays bounded.
+void BM_PerfCounterCapture(benchmark::State& state) {
+  const std::array<std::string, 6> names = {
+      "h2c_run", "h2c_desc_decoded", "h2c_complete",
+      "c2h_run", "c2h_desc_decoded", "c2h_complete"};
+  fpga::PerfCounterBank bank;
+  i64 ns = 0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    bank.capture(names[i % names.size()],
+                 sim::SimTime{} + sim::nanoseconds(ns));
+    ns += 8;
+    if (++i % 4096 == 0) {
+      bank.reset();
+    }
+  }
+}
+BENCHMARK(BM_PerfCounterCapture);
 
 void BM_UdpFrameBuild(benchmark::State& state) {
   const Bytes payload(static_cast<std::size_t>(state.range(0)), 1);

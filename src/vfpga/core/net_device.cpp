@@ -335,32 +335,30 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
   // device must complete it — the paper's example of work the FPGA
   // performs "on behalf of the host".
   bool device_checksummed = false;
-  Bytes udp_copy(udp_span.begin(), udp_span.end());
+  Bytes udp_copy;
+  ConstByteSpan udp = udp_span;
   if ((vhdr.flags & NetHeader::kNeedsCsum) != 0) {
+    udp_copy.assign(udp_span.begin(), udp_span.end());
     net::finalize_udp_checksum(ByteSpan{udp_copy}, parsed_ip->header.src,
                                parsed_ip->header.dst);
+    udp = udp_copy;
     device_checksummed = true;
     ++checksums_offloaded_;
-  } else {
-    const auto parsed_udp = net::parse_udp_datagram(
-        udp_copy, parsed_ip->header.src, parsed_ip->header.dst);
-    if (!parsed_udp.has_value() || !parsed_udp->checksum_ok) {
-      ++dropped_;
-      return std::nullopt;
-    }
   }
-  const auto parsed_udp = net::parse_udp_datagram(
-      udp_copy, parsed_ip->header.src, parsed_ip->header.dst);
-  if (!parsed_udp.has_value()) {
-    // Reachable in the offload branch: a frame whose UDP length fields
-    // were mangled in flight parses as IPv4 (header checksum intact)
-    // but not as UDP. Garbage in -> drop, never crash the device.
+  const auto parsed_udp =
+      net::parse_udp_datagram(udp, parsed_ip->header.src, parsed_ip->header.dst);
+  // A frame whose UDP length fields were mangled in flight can parse as
+  // IPv4 (header checksum intact) but not as UDP. Garbage in -> drop,
+  // never crash the device. The offload branch just wrote the checksum,
+  // so only a driver-computed one is checked.
+  if (!parsed_udp.has_value() ||
+      (!device_checksummed && !parsed_udp->checksum_ok)) {
     ++dropped_;
     return std::nullopt;
   }
 
   // Build the echo: same payload, endpoints swapped.
-  const auto echo_payload = ConstByteSpan{udp_copy}.subspan(
+  const auto echo_payload = udp.subspan(
       parsed_udp->payload_offset, parsed_udp->payload_length);
   const Bytes echo_udp = net::build_udp_datagram(
       net::UdpHeader{parsed_udp->header.dst_port, parsed_udp->header.src_port},

@@ -10,9 +10,10 @@
 // counter pair does.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "vfpga/fpga/clock.hpp"
@@ -26,23 +27,33 @@ namespace vfpga::fpga {
 
 class PerfCounterBank {
  public:
+  /// Distinct event names one bank holds. The XDMA engines use 12, the
+  /// VirtIO controller 4; a capture of a 17th name is a contract
+  /// violation.
+  static constexpr std::size_t kMaxEvents = 16;
+
   explicit PerfCounterBank(ClockDomain clock = kUserClock) : clock_(clock) {}
 
+  /// History entries point into this bank's name table.
+  PerfCounterBank(const PerfCounterBank&) = delete;
+  PerfCounterBank& operator=(const PerfCounterBank&) = delete;
+
   /// Capture event `name` at simulation time `at` (quantized to cycles).
-  void capture(const std::string& name, sim::SimTime at);
+  void capture(std::string_view name, sim::SimTime at);
 
   /// Cycle count captured for `name` (latest capture wins).
-  [[nodiscard]] std::optional<u64> cycles(const std::string& name) const;
+  [[nodiscard]] std::optional<u64> cycles(std::string_view name) const;
 
   /// Interval between two captured events, in simulated time, quantized
   /// to the counter resolution. `from` must have been captured no later
   /// than `to`.
-  [[nodiscard]] sim::Duration interval(const std::string& from,
-                                       const std::string& to) const;
+  [[nodiscard]] sim::Duration interval(std::string_view from,
+                                       std::string_view to) const;
 
-  /// All captures in capture order (diagnostics / tracing).
+  /// All captures in capture order (diagnostics / tracing). `name`
+  /// views the bank's interned copy: valid until reset() or load_state().
   struct Capture {
-    std::string name;
+    std::string_view name;
     u64 cycle;
   };
   [[nodiscard]] const std::vector<Capture>& history() const {
@@ -53,14 +64,26 @@ class PerfCounterBank {
 
   [[nodiscard]] ClockDomain clock() const { return clock_; }
 
-  /// Snapshot/restore (latest-capture map written in sorted name order
-  /// so identical banks serialize to identical bytes).
+  /// Snapshot/restore (latest captures written in sorted name order so
+  /// identical banks serialize to identical bytes).
   void save_state(migrate::StateWriter& w) const;
   void load_state(migrate::StateReader& r);
 
  private:
+  /// Table index of `name`, or name_count_ when it is not interned. A
+  /// linear search: at most kMaxEvents short names, cheaper than a hash.
+  [[nodiscard]] std::size_t find(std::string_view name) const;
+  /// Table index of `name`, interning it on first sight; kMaxEvents
+  /// when the table is full.
+  [[nodiscard]] std::size_t intern(std::string_view name);
+
   ClockDomain clock_;
-  std::unordered_map<std::string, u64> latest_;
+  /// Interned event names. Entries never move while interned, so the
+  /// views in history_ stay valid.
+  std::array<std::string, kMaxEvents> names_;
+  std::size_t name_count_ = 0;
+  /// Latest capture per name, indexed like names_.
+  std::array<std::optional<u64>, kMaxEvents> latest_{};
   std::vector<Capture> history_;
 };
 

@@ -25,11 +25,11 @@ std::string render_timeline(const PerfCounterBank& counters,
   u64 prev_cycle = base_cycle;
   for (std::size_t i = first; i < history.size(); ++i) {
     const auto& capture = history[i];
-    std::snprintf(line, sizeof line, "  %12llu %12.0f %10.0f  %s\n",
+    std::snprintf(line, sizeof line, "  %12llu %12.0f %10.0f  %.*s\n",
                   static_cast<unsigned long long>(capture.cycle),
                   static_cast<double>(capture.cycle - base_cycle) * period_ns,
                   static_cast<double>(capture.cycle - prev_cycle) * period_ns,
-                  capture.name.c_str());
+                  static_cast<int>(capture.name.size()), capture.name.data());
     out += line;
     prev_cycle = capture.cycle;
   }

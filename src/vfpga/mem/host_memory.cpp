@@ -20,31 +20,53 @@ HostMemory::HostMemory(HostAddr alloc_base)
 }
 
 const u8* HostMemory::page_for_read(u64 page_index) const {
+  CachedPage& slot = cache_slot(page_index);
+  if (slot.page_index == page_index) {
+    return slot.page;
+  }
   const auto it = pages_.find(page_index);
-  return it == pages_.end() ? kZeroPage.data() : it->second.get();
+  if (it == pages_.end()) {
+    return kZeroPage.data();
+  }
+  slot = CachedPage{page_index, it->second.get()};
+  return slot.page;
 }
 
 u8* HostMemory::page_for_write(u64 page_index) {
   if (dirty_tracking_) {
     dirty_pages_.insert(page_index);
   }
+  CachedPage& slot = cache_slot(page_index);
+  if (slot.page_index == page_index) {
+    return slot.page;
+  }
   auto& page = pages_[page_index];
   if (!page) {
     page = std::make_unique<u8[]>(kPageSize);
     std::memset(page.get(), 0, kPageSize);
   }
-  return page.get();
+  slot = CachedPage{page_index, page.get()};
+  return slot.page;
 }
 
 void HostMemory::read(HostAddr addr, ByteSpan out) const {
+  if (out.empty()) {
+    return;
+  }
+  const u64 offset = addr % kPageSize;
+  if (offset + out.size() <= kPageSize) {
+    std::memcpy(out.data(), page_for_read(addr / kPageSize) + offset,
+                out.size());
+    return;
+  }
   u64 remaining = out.size();
   u64 cursor = addr;
   u8* dst = out.data();
   while (remaining > 0) {
     const u64 page_index = cursor / kPageSize;
-    const u64 offset = cursor % kPageSize;
-    const u64 chunk = std::min(remaining, kPageSize - offset);
-    std::memcpy(dst, page_for_read(page_index) + offset, chunk);
+    const u64 page_offset = cursor % kPageSize;
+    const u64 chunk = std::min(remaining, kPageSize - page_offset);
+    std::memcpy(dst, page_for_read(page_index) + page_offset, chunk);
     dst += chunk;
     cursor += chunk;
     remaining -= chunk;
@@ -60,14 +82,23 @@ void HostMemory::dma_read(HostAddr addr, ByteSpan out) const {
 }
 
 void HostMemory::write(HostAddr addr, ConstByteSpan data) {
+  if (data.empty()) {
+    return;
+  }
+  const u64 offset = addr % kPageSize;
+  if (offset + data.size() <= kPageSize) {
+    std::memcpy(page_for_write(addr / kPageSize) + offset, data.data(),
+                data.size());
+    return;
+  }
   u64 remaining = data.size();
   u64 cursor = addr;
   const u8* src = data.data();
   while (remaining > 0) {
     const u64 page_index = cursor / kPageSize;
-    const u64 offset = cursor % kPageSize;
-    const u64 chunk = std::min(remaining, kPageSize - offset);
-    std::memcpy(page_for_write(page_index) + offset, src, chunk);
+    const u64 page_offset = cursor % kPageSize;
+    const u64 chunk = std::min(remaining, kPageSize - page_offset);
+    std::memcpy(page_for_write(page_index) + page_offset, src, chunk);
     src += chunk;
     cursor += chunk;
     remaining -= chunk;

@@ -12,6 +12,7 @@
 // experiments tear the whole address space down at once).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -99,13 +100,27 @@ class HostMemory {
  private:
   using Page = std::unique_ptr<u8[]>;
 
+  /// One slot of the direct-mapped page cache in front of `pages_`.
+  /// Pages are never moved or freed, so a cached pointer stays valid
+  /// for the memory's lifetime.
+  struct CachedPage {
+    u64 page_index = ~u64{0};  ///< no page has this index
+    u8* page = nullptr;
+  };
+  static constexpr std::size_t kPageCacheSlots = 64;
+
   [[nodiscard]] const u8* page_for_read(u64 page_index) const;
   [[nodiscard]] u8* page_for_write(u64 page_index);
+  [[nodiscard]] CachedPage& cache_slot(u64 page_index) const {
+    return page_cache_[page_index % kPageCacheSlots];
+  }
 
   std::unordered_map<u64, Page> pages_;
+  /// Holds resident pages only: never-written pages read from the
+  /// shared zero page uncached, so a later write to them is seen.
+  mutable std::array<CachedPage, kPageCacheSlots> page_cache_{};
   HostAddr alloc_base_;
   HostAddr bump_;
-  mutable const u8* zero_page_ = nullptr;
   fault::FaultPlane* fault_ = nullptr;
   bool dirty_tracking_ = false;
   std::unordered_set<u64> dirty_pages_;

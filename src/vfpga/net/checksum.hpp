@@ -15,7 +15,11 @@ namespace vfpga::net {
 /// UDP/TCP.
 class ChecksumAccumulator {
  public:
+  /// Spans may have any length; an odd trailing byte carries over and
+  /// pairs with the first byte of the next add().
   void add(ConstByteSpan data);
+  /// Whole 16/32-bit fields. Only valid on an even byte boundary, i.e.
+  /// not while add() has left a dangling byte (a contract violation).
   void add_u16(u16 value);
   void add_u32(u32 value);
 

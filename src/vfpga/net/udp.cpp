@@ -10,14 +10,20 @@
 namespace vfpga::net {
 namespace {
 
-u16 udp_checksum(ConstByteSpan datagram, Ipv4Addr src, Ipv4Addr dst) {
+/// Pseudo-header (RFC 768) plus the datagram, not yet folded.
+ChecksumAccumulator udp_sum(ConstByteSpan datagram, Ipv4Addr src,
+                            Ipv4Addr dst) {
   ChecksumAccumulator acc;
   acc.add_u32(src.value);
   acc.add_u32(dst.value);
   acc.add_u16(static_cast<u16>(IpProtocol::Udp));
   acc.add_u16(static_cast<u16>(datagram.size()));
   acc.add(datagram);
-  const u16 csum = acc.fold();
+  return acc;
+}
+
+u16 udp_checksum(ConstByteSpan datagram, Ipv4Addr src, Ipv4Addr dst) {
+  const u16 csum = udp_sum(datagram, src, dst).fold();
   // RFC 768: an all-zero checksum means "none"; transmit 0xffff instead.
   return csum == 0 ? 0xffff : csum;
 }
@@ -59,10 +65,10 @@ std::optional<ParsedUdp> parse_udp_datagram(ConstByteSpan data, Ipv4Addr src,
   if (wire_csum == 0) {
     out.checksum_ok = true;  // checksum not used by sender
   } else {
-    // Recompute over the datagram with the checksum bytes zeroed.
-    Bytes copy(data.begin(), data.begin() + length);
-    store_be16(ByteSpan{copy}, 6, 0);
-    out.checksum_ok = (udp_checksum(copy, src, dst) == wire_csum);
+    // Verify in place: the pseudo-header plus the datagram, checksum
+    // field included, folds to 0. Equivalent to recomputing with the
+    // field zeroed, including the 0xffff sent for a computed 0.
+    out.checksum_ok = udp_sum(data.first(length), src, dst).fold() == 0;
   }
   return out;
 }

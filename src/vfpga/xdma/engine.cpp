@@ -1,7 +1,7 @@
 #include "vfpga/xdma/engine.hpp"
 
 #include <array>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "vfpga/common/contract.hpp"
@@ -17,10 +17,20 @@ DmaChannel::DmaChannel(Direction direction, pcie::DmaPort port,
       config_(config),
       counters_(counters) {}
 
-void DmaChannel::capture(const char* event, sim::SimTime at) {
+void DmaChannel::capture(Event event, sim::SimTime at) {
+  // Counter names per event, {H2C, C2H}: a capture builds no string.
+  static constexpr std::array<std::array<std::string_view, 2>, 6> kNames{{
+      {"h2c_run", "c2h_run"},
+      {"h2c_error", "c2h_error"},
+      {"h2c_desc_decoded", "c2h_desc_decoded"},
+      {"h2c_complete", "c2h_complete"},
+      {"h2c_issue", "c2h_issue"},
+      {"h2c_transfer_done", "c2h_transfer_done"},
+  }};
   if (counters_ != nullptr) {
-    const char* prefix = direction_ == Direction::H2C ? "h2c_" : "c2h_";
-    counters_->capture(std::string{prefix} + event, at);
+    counters_->capture(kNames[static_cast<std::size_t>(event)]
+                             [direction_ == Direction::H2C ? 0 : 1],
+                       at);
   }
 }
 
@@ -52,7 +62,7 @@ DmaChannel::RunResult DmaChannel::run(sim::SimTime start) {
   RunResult result;
   status_ = regs::kStatusBusy;
   sim::SimTime t = start + config_.clock.cycles(config_.setup_cycles);
-  capture("run", start);
+  capture(Event::kRun, start);
 
   u64 desc_addr = descriptor_addr_;
   for (;;) {
@@ -67,11 +77,11 @@ DmaChannel::RunResult DmaChannel::run(sim::SimTime start) {
       status_ = regs::kStatusMagicStopped | regs::kStatusDescStopped;
       result.error = true;
       result.complete = t;
-      capture("error", t);
+      capture(Event::kError, t);
       return result;
     }
     t += config_.clock.cycles(config_.per_descriptor_cycles);
-    capture("desc_decoded", t);
+    capture(Event::kDescDecoded, t);
 
     if (direction_ == Direction::H2C) {
       t = move_data(t, desc.src_addr, desc.dst_addr, desc.length);
@@ -96,7 +106,7 @@ DmaChannel::RunResult DmaChannel::run(sim::SimTime start) {
   }
   status_ = regs::kStatusDescStopped | regs::kStatusDescCompleted;
   result.complete = t;
-  capture("complete", t);
+  capture(Event::kComplete, t);
 
   if (irq_enabled_ && on_complete) {
     on_complete(t);
@@ -110,7 +120,7 @@ sim::SimTime DmaChannel::transfer_gather(
   VFPGA_EXPECTS(direction_ == Direction::H2C);
   VFPGA_EXPECTS(!segments.empty());
   status_ = regs::kStatusBusy;
-  capture("issue", start);
+  capture(Event::kIssue, start);
   sim::SimTime t = start + config_.clock.cycles(config_.per_descriptor_cycles *
                                                 segments.size());
   t += config_.clock.cycles(config_.datapath_fixed_cycles);
@@ -134,7 +144,7 @@ sim::SimTime DmaChannel::transfer_gather(
 
   status_ = regs::kStatusDescCompleted | regs::kStatusDescStopped;
   ++completed_count_;
-  capture("transfer_done", t);
+  capture(Event::kTransferDone, t);
   return t;
 }
 
@@ -143,13 +153,13 @@ sim::SimTime DmaChannel::transfer(sim::SimTime start, HostAddr host_addr,
   // Fabric-driven: the controller supplies the descriptor directly; no
   // host fetch, only a short issue penalty.
   status_ = regs::kStatusBusy;
-  capture("issue", start);
+  capture(Event::kIssue, start);
   sim::SimTime t =
       start + config_.clock.cycles(config_.per_descriptor_cycles);
   t = move_data(t, host_addr, card_addr, bytes);
   status_ = regs::kStatusDescCompleted | regs::kStatusDescStopped;
   ++completed_count_;
-  capture("transfer_done", t);
+  capture(Event::kTransferDone, t);
   return t;
 }
 

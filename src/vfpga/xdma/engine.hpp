@@ -124,7 +124,16 @@ class DmaChannel {
   /// Data movement common to both modes; returns completion time.
   sim::SimTime move_data(sim::SimTime start, HostAddr host_addr,
                          FpgaAddr card_addr, u32 bytes);
-  void capture(const char* event, sim::SimTime at);
+  enum class Event : u8 {
+    kRun,
+    kError,
+    kDescDecoded,
+    kComplete,
+    kIssue,
+    kTransferDone,
+  };
+  /// Capture `event` under this channel's counter name ("h2c_run", ...).
+  void capture(Event event, sim::SimTime at);
 
   Direction direction_;
   pcie::DmaPort port_;

@@ -1,0 +1,168 @@
+// Golden digests of the paper outputs.
+//
+// Each test hashes (FNV-1a, 64-bit) a simulated output stream at a
+// reduced size and compares it with a committed value:
+//
+//  - the VirtIO and XDMA payload sweeps behind Figs. 3-5 and Table I
+//    (every per-round-trip total, hardware and software sample, plus the
+//    failure counts);
+//  - a short virtio-blk run in both completion modes;
+//  - the snapshot bytes of a PerfCounterBank after a fixed capture
+//    sequence.
+//
+// A change that only makes the simulator cheaper must leave every digest
+// unchanged. A change that moves a simulated output on purpose updates
+// the constant here and says why in CHANGES.md.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdio>
+#include <string>
+
+#include "vfpga/fpga/perf_counter.hpp"
+#include "vfpga/harness/blk_bench.hpp"
+#include "vfpga/harness/virtio_bench.hpp"
+#include "vfpga/harness/xdma_bench.hpp"
+#include "vfpga/migrate/state_io.hpp"
+
+namespace vfpga {
+namespace {
+
+class Fnv1a {
+ public:
+  void add_u64(u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      add_byte(static_cast<u8>(v >> (8 * i)));
+    }
+  }
+  void add_double(double v) { add_u64(std::bit_cast<u64>(v)); }
+  void add_bytes(ConstByteSpan data) {
+    for (const u8 b : data) {
+      add_byte(b);
+    }
+  }
+  void add_string(const std::string& s) {
+    add_u64(s.size());
+    for (const char c : s) {
+      add_byte(static_cast<u8>(c));
+    }
+  }
+  void add_samples(const stats::SampleSet& set) {
+    add_u64(set.count());
+    for (const double v : set.values_us()) {
+      add_double(v);
+    }
+  }
+  [[nodiscard]] u64 value() const { return h_; }
+
+ private:
+  void add_byte(u8 b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ull;
+  }
+  u64 h_ = 0xcbf29ce484222325ull;
+};
+
+harness::ExperimentConfig reduced_config() {
+  harness::ExperimentConfig config;  // default seed and payload sweep
+  config.iterations = 2000;
+  config.warmup = 16;
+  return config;
+}
+
+u64 sweep_digest(const harness::SweepResult& sweep) {
+  Fnv1a h;
+  h.add_string(sweep.driver_name);
+  h.add_u64(sweep.cells.size());
+  for (const harness::CellResult& cell : sweep.cells) {
+    h.add_u64(cell.payload);
+    h.add_u64(cell.failures);
+    h.add_samples(cell.total_us);
+    h.add_samples(cell.hardware_us);
+    h.add_samples(cell.software_us);
+  }
+  return h.value();
+}
+
+TEST(GoldenDigest, VirtioSweep) {
+  const u64 digest = sweep_digest(harness::run_virtio_sweep(reduced_config()));
+  EXPECT_EQ(digest, 0x0f193dd5307957daull) << std::hex << "0x" << digest;
+}
+
+TEST(GoldenDigest, XdmaSweep) {
+  const u64 digest = sweep_digest(harness::run_xdma_sweep(reduced_config()));
+  EXPECT_EQ(digest, 0x0229d26146c0f7b9ull) << std::hex << "0x" << digest;
+}
+
+TEST(GoldenDigest, BlkBothCompletionModes) {
+  harness::BlkBenchConfig config;  // default seed
+  config.ops_per_cell = 400;
+  config.warmup_ops = 16;
+  Fnv1a h;
+  for (const auto mode : {harness::BlkCompletionMode::kInterrupt,
+                          harness::BlkCompletionMode::kReactorPolled}) {
+    const harness::BlkCellResult cell =
+        harness::run_blk_cell(config, mode, 4096, 8);
+    h.add_u64(cell.ops);
+    h.add_u64(cell.failures);
+    h.add_samples(cell.latency_us);
+    h.add_double(cell.iops);
+    h.add_u64(cell.reactor_iterations);
+    h.add_u64(cell.reactor_busy_iterations);
+  }
+  EXPECT_EQ(h.value(), 0x4362b7d587aae0aeull)
+      << std::hex << "0x" << h.value();
+}
+
+std::string hex(ConstByteSpan data) {
+  std::string out;
+  char byte[3];
+  for (const u8 b : data) {
+    std::snprintf(byte, sizeof byte, "%02x", b);
+    out += byte;
+  }
+  return out;
+}
+
+// The datapath's capture names, including the XDMA ones longer than a
+// short-string buffer, captured out of name order and more than once.
+Bytes counter_snapshot() {
+  fpga::PerfCounterBank bank;
+  const char* names[] = {"notify",           "h2c_run",
+                         "h2c_desc_decoded", "h2c_complete",
+                         "c2h_run",          "c2h_transfer_done",
+                         "ul_start",         "ul_done",
+                         "irq_sent"};
+  i64 ns = 40;
+  for (int round = 0; round < 2; ++round) {
+    for (const char* name : names) {
+      bank.capture(name, sim::SimTime{} + sim::nanoseconds(ns));
+      ns += 56 + 8 * round;
+    }
+  }
+  migrate::StateWriter w;
+  bank.save_state(w);
+  return w.take();
+}
+
+TEST(GoldenDigest, PerfCounterSnapshotBytes) {
+  const Bytes bytes = counter_snapshot();
+  Fnv1a h;
+  h.add_bytes(bytes);
+  EXPECT_EQ(bytes.size(), 704u);
+  EXPECT_EQ(h.value(), 0x428545e0d6bfd92cull)
+      << std::hex << "0x" << h.value() << "\n"
+      << hex(bytes);
+
+  // Loading the snapshot and saving it again reproduces the bytes.
+  fpga::PerfCounterBank restored;
+  migrate::StateReader r{bytes};
+  restored.load_state(r);
+  ASSERT_FALSE(r.failed());
+  migrate::StateWriter w;
+  restored.save_state(w);
+  EXPECT_EQ(w.buffer(), bytes);
+}
+
+}  // namespace
+}  // namespace vfpga

@@ -7,6 +7,7 @@
 #include "vfpga/fpga/timeline.hpp"
 #include "vfpga/harness/parallel.hpp"
 #include "vfpga/harness/report.hpp"
+#include "vfpga/migrate/state_io.hpp"
 
 #include <cstdio>
 
@@ -162,6 +163,49 @@ TEST(CsvExport, EnvGateControlsExport) {
   EXPECT_FALSE(path.empty());
   std::remove(path.c_str());
   ::unsetenv("VFPGA_CSV_DIR");
+}
+
+TEST(PerfCounterBank, CyclesOfUncapturedNameAndAfterReset) {
+  fpga::PerfCounterBank counters;
+  EXPECT_FALSE(counters.cycles("notify").has_value());
+  counters.capture("notify", sim::SimTime{} + sim::nanoseconds(80));
+  counters.capture("notify", sim::SimTime{} + sim::nanoseconds(160));
+  EXPECT_EQ(counters.cycles("notify"), 20u);  // latest capture, 8 ns cycles
+  EXPECT_FALSE(counters.cycles("irq_sent").has_value());
+  EXPECT_EQ(counters.history().size(), 2u);
+  EXPECT_EQ(counters.history()[0].name, "notify");
+
+  counters.reset();
+  EXPECT_FALSE(counters.cycles("notify").has_value());
+  EXPECT_TRUE(counters.history().empty());
+  counters.capture("irq_sent", sim::SimTime{} + sim::nanoseconds(240));
+  EXPECT_EQ(counters.cycles("irq_sent"), 30u);
+  EXPECT_FALSE(counters.cycles("notify").has_value());
+}
+
+TEST(PerfCounterBank, RestoreRejectsMoreNamesThanTheTableHolds) {
+  migrate::StateWriter w;
+  w.put_u32(0);  // no latest captures
+  w.put_u32(fpga::PerfCounterBank::kMaxEvents + 1);
+  for (u64 i = 0; i <= fpga::PerfCounterBank::kMaxEvents; ++i) {
+    const std::string name = "event_" + std::to_string(i);
+    w.put_blob(ConstByteSpan{reinterpret_cast<const u8*>(name.data()),
+                             name.size()});
+    w.put_u64(i);
+  }
+  fpga::PerfCounterBank counters;
+  migrate::StateReader r{w.buffer()};
+  counters.load_state(r);
+  EXPECT_TRUE(r.failed());
+}
+
+TEST(PerfCounterBankDeathTest, SeventeenthEventNameAborts) {
+  fpga::PerfCounterBank counters;
+  for (u64 i = 0; i < fpga::PerfCounterBank::kMaxEvents; ++i) {
+    counters.capture("event_" + std::to_string(i), sim::SimTime{});
+  }
+  EXPECT_DEATH(counters.capture("one_too_many", sim::SimTime{}),
+               "precondition");
 }
 
 TEST(Timeline, EmptyBankRendersPlaceholder) {

@@ -88,6 +88,96 @@ TEST(HostMemory, AllocationsNeverOverlap) {
   }
 }
 
+TEST(HostMemory, DirtyTrackingLogsEveryWriteToACachedPage) {
+  HostMemory memory;
+  constexpr u64 kPage = 0x40000;  // page index
+  const HostAddr addr = kPage * HostMemory::kPageSize;
+  memory.set_dirty_tracking(true);
+  memory.write_le32(addr, 1);
+  EXPECT_EQ(memory.drain_dirty_pages(), std::vector<u64>{kPage});
+  // The page is now cached; each further write is still logged.
+  memory.write_le32(addr + 8, 2);
+  EXPECT_EQ(memory.drain_dirty_pages(), std::vector<u64>{kPage});
+  memory.write_u8(addr + 100, 3);
+  EXPECT_EQ(memory.drain_dirty_pages(), std::vector<u64>{kPage});
+  memory.fill(addr + 200, 0xee, 16);
+  EXPECT_EQ(memory.drain_dirty_pages(), std::vector<u64>{kPage});
+  // Reads never log, cached or not.
+  EXPECT_EQ(memory.read_le32(addr), 1u);
+  EXPECT_EQ(memory.read_le32(addr + HostMemory::kPageSize), 0u);
+  EXPECT_TRUE(memory.drain_dirty_pages().empty());
+  // A write straddling into the next page logs both.
+  memory.write_le32(addr + HostMemory::kPageSize - 2, 0xdeadbeef);
+  EXPECT_EQ(memory.drain_dirty_pages(),
+            (std::vector<u64>{kPage, kPage + 1}));
+  memory.set_dirty_tracking(false);
+  memory.write_le32(addr, 4);
+  EXPECT_TRUE(memory.drain_dirty_pages().empty());
+}
+
+TEST(HostMemory, WriteAfterReadOfUntouchedPageIsSeen) {
+  HostMemory memory;
+  const HostAddr addr = 0x7000 + 12;
+  EXPECT_EQ(memory.read_le64(addr), 0u);  // served from the zero page
+  EXPECT_EQ(memory.read_u8(addr), 0);
+  memory.write_le64(addr, 0x0102030405060708ull);
+  EXPECT_EQ(memory.read_le64(addr), 0x0102030405060708ull);
+  EXPECT_EQ(memory.read_u8(addr), 0x08);
+  EXPECT_EQ(memory.resident_bytes(), HostMemory::kPageSize);
+}
+
+TEST(HostMemory, ManyPagesWithCollidingIndicesRoundTrip) {
+  HostMemory memory;
+  // Consecutive pages plus strides that map many pages onto the same
+  // slot of any power-of-two page cache up to 4096 slots.
+  std::vector<u64> pages;
+  for (u64 i = 0; i < 300; ++i) {
+    pages.push_back(0x100000 + i);
+  }
+  u64 base = 0x200000;
+  for (u64 stride : {u64{64}, u64{256}, u64{4096}}) {
+    for (u64 i = 0; i < 40; ++i) {
+      pages.push_back(base + i * stride);
+    }
+    base += 0x100000;
+  }
+  auto tag = [](u64 page) { return page * 0x9e3779b97f4a7c15ull; };
+  for (const u64 page : pages) {
+    memory.write_le64(page * HostMemory::kPageSize + 16, tag(page));
+  }
+  // Read back in reverse, then forward, so every lookup evicts.
+  for (auto it = pages.rbegin(); it != pages.rend(); ++it) {
+    ASSERT_EQ(memory.read_le64(*it * HostMemory::kPageSize + 16), tag(*it))
+        << "page " << *it;
+  }
+  for (const u64 page : pages) {
+    ASSERT_EQ(memory.read_le64(page * HostMemory::kPageSize + 16), tag(page))
+        << "page " << page;
+    ASSERT_EQ(memory.read_le64(page * HostMemory::kPageSize), 0u);
+  }
+  EXPECT_EQ(memory.resident_page_indices().size(), pages.size());
+}
+
+TEST(HostMemory, WholePageCopyRoundTrips) {
+  HostMemory memory;
+  Bytes page(HostMemory::kPageSize);
+  for (std::size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<u8>(i * 13 + 1);
+  }
+  Bytes out(HostMemory::kPageSize, 0xaa);
+  memory.read_page(9, out);  // never written: zeros
+  EXPECT_EQ(out, Bytes(HostMemory::kPageSize, 0));
+  memory.write_page(9, page);
+  memory.read_page(9, out);
+  EXPECT_EQ(out, page);
+  EXPECT_EQ(memory.read_bytes(9 * HostMemory::kPageSize + 100, 4),
+            Bytes(page.begin() + 100, page.begin() + 104));
+  memory.write_u8(9 * HostMemory::kPageSize + 5, 0);
+  memory.read_page(9, out);
+  EXPECT_EQ(out[5], 0);
+  EXPECT_EQ(memory.resident_page_indices(), std::vector<u64>{9});
+}
+
 TEST(Bram, RoundTripAndBounds) {
   Bram bram{1024, 8};
   const Bytes data{9, 8, 7, 6};

@@ -17,6 +17,7 @@ namespace {
 
 using vfpga::load_be16;
 using vfpga::store_be16;
+using vfpga::store_be32;
 
 const Ipv4Addr kHostIp = Ipv4Addr::from_octets(10, 42, 0, 1);
 const Ipv4Addr kFpgaIp = Ipv4Addr::from_octets(10, 42, 0, 2);
@@ -56,6 +57,116 @@ TEST(Checksum, EmbeddedChecksumValidates) {
   EXPECT_TRUE(checksum_valid(data));
   data[3] ^= 1;
   EXPECT_FALSE(checksum_valid(data));
+}
+
+// The byte-pair loop ChecksumAccumulator::add used to be: the reference
+// the word-wide sums are checked against.
+class BytePairChecksum {
+ public:
+  void add(ConstByteSpan data) {
+    std::size_t i = 0;
+    if (odd_ && !data.empty()) {
+      sum_ += data[0];
+      odd_ = false;
+      i = 1;
+    }
+    for (; i + 1 < data.size(); i += 2) {
+      sum_ += static_cast<u64>(data[i]) << 8 | data[i + 1];
+    }
+    if (i < data.size()) {
+      sum_ += static_cast<u64>(data[i]) << 8;
+      odd_ = true;
+    }
+  }
+  [[nodiscard]] u16 fold() const {
+    u64 s = sum_;
+    while (s >> 16) {
+      s = (s & 0xffff) + (s >> 16);
+    }
+    return static_cast<u16>(~s & 0xffff);
+  }
+
+ private:
+  u64 sum_ = 0;
+  bool odd_ = false;
+};
+
+u16 reference_checksum(ConstByteSpan data) {
+  BytePairChecksum ref;
+  ref.add(data);
+  return ref.fold();
+}
+
+Bytes random_bytes(u64 seed, std::size_t n) {
+  sim::Xoshiro256 rng{seed};
+  Bytes b(n);
+  for (auto& x : b) {
+    x = static_cast<u8>(rng());
+  }
+  return b;
+}
+
+TEST(Checksum, WordWideMatchesBytePairAtEveryLengthAndAlignment) {
+  constexpr std::size_t kMaxLen = 2048;
+  const Bytes buf = random_bytes(7, kMaxLen + 8);
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const ConstByteSpan span{buf.data() + align, len};
+      ASSERT_EQ(internet_checksum(span), reference_checksum(span))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Checksum, WordWideMatchesBytePairOnAllZeroAndAllOnes) {
+  for (const u8 fill : {u8{0x00}, u8{0xff}}) {
+    const Bytes buf(2048, fill);
+    for (std::size_t len = 0; len <= buf.size(); ++len) {
+      const ConstByteSpan span{buf.data(), len};
+      ASSERT_EQ(internet_checksum(span), reference_checksum(span))
+          << "fill " << int{fill} << " len " << len;
+    }
+  }
+  // All-zero data sums to 0 and folds to 0xffff; all-ones words sum to
+  // negative zero and fold to 0. The word-wide sum keeps them apart.
+  EXPECT_EQ(internet_checksum(Bytes(64, 0x00)), 0xffff);
+  EXPECT_EQ(internet_checksum(Bytes(64, 0xff)), 0x0000);
+}
+
+TEST(Checksum, SpansSplitAtOddOffsetsCarryTheDanglingByte) {
+  const Bytes buf = random_bytes(11, 301);
+  const ConstByteSpan all{buf};
+  const u16 expected = reference_checksum(all);
+  for (std::size_t a = 0; a <= buf.size(); a += 3) {
+    for (std::size_t b = a; b <= buf.size(); b += 7) {
+      ChecksumAccumulator acc;
+      BytePairChecksum ref;
+      for (const ConstByteSpan part :
+           {all.first(a), all.subspan(a, b - a), all.subspan(b)}) {
+        acc.add(part);
+        ref.add(part);
+      }
+      ASSERT_EQ(acc.fold(), ref.fold()) << "splits " << a << ", " << b;
+      ASSERT_EQ(acc.fold(), expected) << "splits " << a << ", " << b;
+    }
+  }
+  // One byte at a time: every add() starts on the other parity.
+  ChecksumAccumulator acc;
+  for (const u8 byte : buf) {
+    acc.add(ConstByteSpan{&byte, 1});
+  }
+  EXPECT_EQ(acc.fold(), expected);
+}
+
+TEST(ChecksumDeathTest, WholeWordAddAfterDanglingByteAborts) {
+  const Bytes odd{1, 2, 3};
+  ChecksumAccumulator acc;
+  acc.add(odd);
+  EXPECT_DEATH(acc.add_u16(0x1234), "precondition");
+  EXPECT_DEATH(acc.add_u32(0x12345678), "precondition");
+  // Completing the word makes whole-word adds valid again.
+  acc.add(ConstByteSpan{odd}.first(1));
+  acc.add_u16(0x1234);
 }
 
 // ---- ethernet --------------------------------------------------------------------
@@ -173,6 +284,84 @@ TEST(Udp, FinalizeRepairsZeroedChecksum) {
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->checksum_ok);
   EXPECT_NE(load_be16(dgram, 6), 0);
+}
+
+// The verdict parse_udp_datagram gave before it verified in place:
+// recompute over a copy with the checksum field zeroed, then compare
+// with the wire value (0 = not used; a computed 0 travels as 0xffff).
+bool copy_and_zero_verdict(ConstByteSpan data, Ipv4Addr src, Ipv4Addr dst) {
+  const u16 length = load_be16(data, 4);
+  const u16 wire = load_be16(data, 6);
+  if (wire == 0) {
+    return true;
+  }
+  Bytes copy(data.begin(), data.begin() + length);
+  store_be16(ByteSpan{copy}, 6, 0);
+  Bytes pseudo(12, 0);
+  store_be32(ByteSpan{pseudo}, 0, src.value);
+  store_be32(ByteSpan{pseudo}, 4, dst.value);
+  pseudo[9] = static_cast<u8>(IpProtocol::Udp);
+  store_be16(ByteSpan{pseudo}, 10, length);
+  BytePairChecksum ref;
+  ref.add(pseudo);
+  ref.add(copy);
+  const u16 csum = ref.fold();
+  return (csum == 0 ? 0xffff : csum) == wire;
+}
+
+void expect_same_verdict(ConstByteSpan dgram, const char* what) {
+  const auto parsed = parse_udp_datagram(dgram, kHostIp, kFpgaIp);
+  ASSERT_TRUE(parsed.has_value()) << what;
+  EXPECT_EQ(parsed->checksum_ok,
+            copy_and_zero_verdict(dgram, kHostIp, kFpgaIp))
+      << what;
+}
+
+TEST(Udp, InPlaceVerifyMatchesCopyAndZero) {
+  for (const std::size_t size : {0u, 1u, 2u, 7u, 64u, 255u, 1024u, 1471u}) {
+    const Bytes good = build_udp_datagram(
+        UdpHeader{4791, 9000}, kHostIp, kFpgaIp, random_bytes(size, size));
+    expect_same_verdict(good, "good checksum");
+    EXPECT_TRUE(parse_udp_datagram(good, kHostIp, kFpgaIp)->checksum_ok);
+
+    // Trailing bytes past the UDP length (link padding) are not summed.
+    Bytes padded = good;
+    padded.insert(padded.end(), {0xde, 0xad, 0xbe});
+    expect_same_verdict(padded, "padded");
+    EXPECT_TRUE(parse_udp_datagram(padded, kHostIp, kFpgaIp)->checksum_ok);
+
+    Bytes unused = good;
+    store_be16(ByteSpan{unused}, 6, 0x0000);
+    expect_same_verdict(unused, "wire 0x0000");
+
+    Bytes ones = good;
+    store_be16(ByteSpan{ones}, 6, 0xffff);
+    expect_same_verdict(ones, "wire 0xffff");
+
+    for (std::size_t i = 0; i < good.size(); ++i) {
+      Bytes bad = good;
+      bad[i] ^= 0x20;
+      if (parse_udp_datagram(bad, kHostIp, kFpgaIp).has_value()) {
+        expect_same_verdict(bad, "one-byte corruption");
+      }
+    }
+  }
+}
+
+TEST(Udp, ComputedZeroTravelsAsAllOnesAndVerifies) {
+  // Pick the last payload word so the datagram sums to negative zero:
+  // its checksum computes to 0, which RFC 768 sends as 0xffff.
+  Bytes payload(30, 0x5c);
+  store_be16(ByteSpan{payload}, payload.size() - 2, 0);
+  Bytes dgram = build_udp_datagram(UdpHeader{7, 8}, kHostIp, kFpgaIp, payload);
+  store_be16(ByteSpan{payload}, payload.size() - 2, load_be16(dgram, 6));
+  dgram = build_udp_datagram(UdpHeader{7, 8}, kHostIp, kFpgaIp, payload);
+  ASSERT_EQ(load_be16(dgram, 6), 0xffff);
+  expect_same_verdict(dgram, "computed zero");
+  EXPECT_TRUE(parse_udp_datagram(dgram, kHostIp, kFpgaIp)->checksum_ok);
+  dgram[UdpHeader::kSize] ^= 1;
+  expect_same_verdict(dgram, "computed zero, corrupted");
+  EXPECT_FALSE(parse_udp_datagram(dgram, kHostIp, kFpgaIp)->checksum_ok);
 }
 
 // Property: random payloads of every size round-trip with valid sums.
