@@ -15,6 +15,8 @@
 #include "vfpga/net/ethernet.hpp"
 #include "vfpga/net/ipv4.hpp"
 #include "vfpga/net/udp.hpp"
+#include "vfpga/sim/distributions.hpp"
+#include "vfpga/sim/noise.hpp"
 #include "vfpga/virtio/pci_caps.hpp"
 #include "vfpga/virtio/virtqueue_driver.hpp"
 
@@ -69,6 +71,8 @@ BENCHMARK(BM_HostMemoryReadWrite)->Arg(8)->Arg(64)->Arg(1024);
 
 // Captures with the XDMA engines' event names. The bank is reset every
 // few thousand captures so its history stays bounded.
+// One bank, never reset, over a fixed 1 M captures: what a long-lived
+// testbed's bank costs, history growth included.
 void BM_PerfCounterCapture(benchmark::State& state) {
   const std::array<std::string, 6> names = {
       "h2c_run", "h2c_desc_decoded", "h2c_complete",
@@ -77,15 +81,46 @@ void BM_PerfCounterCapture(benchmark::State& state) {
   i64 ns = 0;
   std::size_t i = 0;
   for (auto _ : state) {
-    bank.capture(names[i % names.size()],
+    bank.capture(names[i++ % names.size()],
                  sim::SimTime{} + sim::nanoseconds(ns));
     ns += 8;
-    if (++i % 4096 == 0) {
-      bank.reset();
-    }
   }
 }
-BENCHMARK(BM_PerfCounterCapture);
+BENCHMARK(BM_PerfCounterCapture)->Iterations(1'000'000);
+
+// ---- host noise sampling (drawn on every simulated software segment) -----
+
+void BM_PoissonSmallMean(benchmark::State& state, double mean) {
+  sim::Xoshiro256 rng{21};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::sample_poisson(rng, mean));
+  }
+}
+BENCHMARK_CAPTURE(BM_PoissonSmallMean, 0.0012, 0.0012);
+BENCHMARK_CAPTURE(BM_PoissonSmallMean, 0.05, 0.05);
+BENCHMARK_CAPTURE(BM_PoissonSmallMean, 2.0, 2.0);
+
+// The pair HostThread::exec_fixed draws per segment; arg = segment ns.
+void BM_NoiseDraw(benchmark::State& state) {
+  const sim::NoiseModel noise{sim::NoiseConfig{}};
+  const sim::Duration d = sim::nanoseconds(state.range(0));
+  sim::Xoshiro256 rng{22};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(noise.rare_stall(rng, d));
+    benchmark::DoNotOptimize(noise.interference(rng, d));
+  }
+}
+BENCHMARK(BM_NoiseDraw)->Arg(100)->Arg(2000);
+
+void BM_JitteredSegmentSample(benchmark::State& state) {
+  const sim::JitteredSegment segment{sim::nanoseconds(2600), 0.45,
+                                     sim::nanoseconds(1300), {}};
+  sim::Xoshiro256 rng{23};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(segment.sample(rng));
+  }
+}
+BENCHMARK(BM_JitteredSegmentSample);
 
 void BM_UdpFrameBuild(benchmark::State& state) {
   const Bytes payload(static_cast<std::size_t>(state.range(0)), 1);

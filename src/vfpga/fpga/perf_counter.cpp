@@ -33,7 +33,15 @@ void PerfCounterBank::capture(std::string_view name, sim::SimTime at) {
   const u64 cycle =
       static_cast<u64>(at.picos()) / static_cast<u64>(clock_.period().picos());
   latest_[id] = cycle;
+  record(id, cycle);
+}
+
+void PerfCounterBank::record(std::size_t id, u64 cycle) {
   history_.push_back(Capture{names_[id], cycle});
+  if (history_.size() == 2 * kHistory) {
+    history_.erase(history_.begin(),
+                   history_.begin() + static_cast<std::ptrdiff_t>(kHistory));
+  }
 }
 
 std::optional<u64> PerfCounterBank::cycles(std::string_view name) const {
@@ -118,7 +126,7 @@ void PerfCounterBank::load_state(migrate::StateReader& r) {
     const std::size_t id = read_id();
     const u64 cycle = r.get_u64();
     if (!r.failed()) {
-      history_.push_back(Capture{names_[id], cycle});
+      record(id, cycle);
     }
   }
 }

@@ -31,6 +31,9 @@ class PerfCounterBank {
   /// VirtIO controller 4; a capture of a 17th name is a contract
   /// violation.
   static constexpr std::size_t kMaxEvents = 16;
+  /// Capture history depth, like an ILA's fixed sample buffer: when the
+  /// history reaches 2·kHistory entries the oldest kHistory are dropped.
+  static constexpr std::size_t kHistory = 4096;
 
   explicit PerfCounterBank(ClockDomain clock = kUserClock) : clock_(clock) {}
 
@@ -50,8 +53,10 @@ class PerfCounterBank {
   [[nodiscard]] sim::Duration interval(std::string_view from,
                                        std::string_view to) const;
 
-  /// All captures in capture order (diagnostics / tracing). `name`
-  /// views the bank's interned copy: valid until reset() or load_state().
+  /// Recent captures in capture order (diagnostics / tracing): every
+  /// capture until 2·kHistory were taken, then the newest kHistory to
+  /// 2·kHistory-1 of them. `name` views the bank's interned copy: valid
+  /// until reset() or load_state().
   struct Capture {
     std::string_view name;
     u64 cycle;
@@ -76,6 +81,9 @@ class PerfCounterBank {
   /// Table index of `name`, interning it on first sight; kMaxEvents
   /// when the table is full.
   [[nodiscard]] std::size_t intern(std::string_view name);
+  /// Append to history_, dropping the oldest kHistory entries when it
+  /// is full. One memmove per kHistory appends keeps the cost flat.
+  void record(std::size_t id, u64 cycle);
 
   ClockDomain clock_;
   /// Interned event names. Entries never move while interned, so the

@@ -102,8 +102,11 @@ void HostThread::exec(const MixtureSegment& segment) {
 
 void HostThread::exec_fixed(sim::Duration d) {
   VFPGA_EXPECTS(d >= sim::Duration{});
-  const sim::Duration interference = noise_->interference(*rng_, d) +
-                                     noise_->rare_stall(*rng_, d);
+  // Two statements, not one sum: the order of the two draws from rng_
+  // is part of every simulated timeline, and the operands of `+` are
+  // unsequenced. Rare stall first is the order the golden digests pin.
+  const sim::Duration rare = noise_->rare_stall(*rng_, d);
+  const sim::Duration interference = noise_->interference(*rng_, d) + rare;
   now_ += d + interference;
   software_ += d + interference;
 }

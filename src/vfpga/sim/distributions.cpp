@@ -53,9 +53,16 @@ u64 sample_poisson(Xoshiro256& rng, double mean) {
     return 0;
   }
   if (mean < 30.0) {
-    // Knuth's inversion by multiplication.
-    const double limit = std::exp(-mean);
+    // Knuth's inversion by multiplication. exp(-mean) >= 1 - mean, and
+    // std::exp and the subtraction below each err by under 2^-52, so a
+    // first draw at or below 1 - mean - 2^-50 ends the loop with count 0
+    // for certain. The noise model's tiny means nearly always take that
+    // exit and skip the exp call; draws and count match the full loop.
     double product = rng.uniform01();
+    if (product <= 1.0 - mean - 0x1p-50) {
+      return 0;
+    }
+    const double limit = std::exp(-mean);
     u64 count = 0;
     while (product > limit) {
       product *= rng.uniform01();

@@ -41,10 +41,23 @@ class Xoshiro256 {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ull; }
 
-  result_type operator()() noexcept;
+  /// Defined here so the per-draw call inlines into the samplers.
+  result_type operator()() noexcept {
+    const u64 result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const u64 t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double uniform01() noexcept;
+  double uniform01() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound) without modulo bias (Lemire's method).
   u64 uniform_below(u64 bound) noexcept;
@@ -60,6 +73,10 @@ class Xoshiro256 {
   void set_state(const std::array<u64, 4>& s) noexcept { s_ = s; }
 
  private:
+  static constexpr u64 rotl(u64 x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<u64, 4> s_{};
 };
 

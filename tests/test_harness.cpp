@@ -2,8 +2,13 @@
 // tables at any thread count" guarantee) and the timeline renderer.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "vfpga/core/testbed.hpp"
 #include "vfpga/fpga/timeline.hpp"
 #include "vfpga/harness/parallel.hpp"
 #include "vfpga/harness/report.hpp"
@@ -206,6 +211,134 @@ TEST(PerfCounterBankDeathTest, SeventeenthEventNameAborts) {
   }
   EXPECT_DEATH(counters.capture("one_too_many", sim::SimTime{}),
                "precondition");
+}
+
+// ---- bounded capture history --------------------------------------------
+
+constexpr std::size_t kHistory = fpga::PerfCounterBank::kHistory;
+
+// Capture i of a fixed sequence: three event names, strictly rising time.
+std::string_view nth_name(std::size_t i) {
+  static constexpr std::array<std::string_view, 3> kNames{"notify",
+                                                          "dma_done",
+                                                          "irq_sent"};
+  return kNames[i % kNames.size()];
+}
+sim::SimTime nth_time(std::size_t i) {
+  return sim::SimTime{} +
+         sim::nanoseconds(static_cast<i64>(8 * i + 3 * (i % 5)));
+}
+void capture_nth(fpga::PerfCounterBank& counters, std::size_t i) {
+  counters.capture(nth_name(i), nth_time(i));
+}
+
+Bytes saved_bytes(const fpga::PerfCounterBank& counters) {
+  migrate::StateWriter w;
+  counters.save_state(w);
+  return w.buffer();
+}
+
+TEST(PerfCounterBank, HistoryStaysBoundedAndKeepsTheNewestCaptures) {
+  constexpr std::size_t kCaptures = 3 * kHistory + 5;
+  fpga::PerfCounterBank counters;
+  const auto period = static_cast<u64>(counters.clock().period().picos());
+  // Untrimmed reference: every capture's name and cycle.
+  std::vector<std::pair<std::string_view, u64>> all;
+  for (std::size_t i = 0; i < kCaptures; ++i) {
+    capture_nth(counters, i);
+    all.emplace_back(nth_name(i),
+                     static_cast<u64>(nth_time(i).picos()) / period);
+    ASSERT_LT(counters.history().size(), 2 * kHistory) << "capture " << i;
+  }
+  const auto& history = counters.history();
+  ASSERT_GE(history.size(), kHistory);
+  // The retained history is exactly the tail of the full sequence.
+  const std::size_t offset = all.size() - history.size();
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    ASSERT_EQ(history[i].name, all[offset + i].first) << i;
+    ASSERT_EQ(history[i].cycle, all[offset + i].second) << i;
+  }
+  EXPECT_EQ(history.back().cycle, all.back().second);
+
+  auto last_cycle = [&](std::string_view name) {
+    for (auto it = all.rbegin(); it != all.rend(); ++it) {
+      if (it->first == name) {
+        return it->second;
+      }
+    }
+    return u64{0};
+  };
+  for (const std::string_view name : {"notify", "dma_done", "irq_sent"}) {
+    EXPECT_EQ(counters.cycles(name), last_cycle(name)) << name;
+  }
+  // The sequence ends irq_sent, notify, dma_done.
+  ASSERT_LE(last_cycle("irq_sent"), last_cycle("notify"));
+  EXPECT_EQ(counters.interval("irq_sent", "notify"),
+            counters.clock().cycles(last_cycle("notify") -
+                                    last_cycle("irq_sent")));
+
+  // The timeline of the last 8 captures matches a bank that saw only
+  // those 8.
+  fpga::PerfCounterBank tail;
+  for (std::size_t i = kCaptures - 8; i < kCaptures; ++i) {
+    capture_nth(tail, i);
+  }
+  EXPECT_EQ(fpga::render_timeline(counters, 8),
+            fpga::render_timeline(tail, 8));
+}
+
+TEST(PerfCounterBank, SnapshotBytesStopGrowingWithCaptureCount) {
+  fpga::PerfCounterBank counters;
+  std::size_t i = 0;
+  for (; i < 2 * kHistory; ++i) {
+    capture_nth(counters, i);
+  }
+  const std::size_t short_run = saved_bytes(counters).size();
+  for (; i < 10 * kHistory; ++i) {
+    capture_nth(counters, i);
+  }
+  EXPECT_LE(saved_bytes(counters).size(), short_run);
+}
+
+TEST(PerfCounterBank, RestoreOfALongHistoryKeepsTheNewestEntriesBounded) {
+  // An image written before the history was bounded: 3·kHistory entries.
+  constexpr std::size_t kEntries = 3 * kHistory;
+  const std::string name = "notify";
+  const ConstByteSpan name_bytes{reinterpret_cast<const u8*>(name.data()),
+                                 name.size()};
+  migrate::StateWriter w;
+  w.put_u32(1);  // one latest capture
+  w.put_blob(name_bytes);
+  w.put_u64(kEntries - 1);
+  w.put_u32(static_cast<u32>(kEntries));
+  for (u64 i = 0; i < kEntries; ++i) {
+    w.put_blob(name_bytes);
+    w.put_u64(i);
+  }
+  fpga::PerfCounterBank counters;
+  migrate::StateReader r{w.buffer()};
+  counters.load_state(r);
+  ASSERT_FALSE(r.failed());
+  EXPECT_EQ(counters.cycles("notify"), kEntries - 1);
+  const auto& history = counters.history();
+  ASSERT_GE(history.size(), kHistory);
+  ASSERT_LT(history.size(), 2 * kHistory);
+  const u64 first = kEntries - history.size();
+  for (std::size_t i = 0; i < history.size(); ++i) {
+    ASSERT_EQ(history[i].name, "notify");
+    ASSERT_EQ(history[i].cycle, first + i) << i;
+  }
+}
+
+TEST(PerfCounterBank, LongEchoRunKeepsTheDeviceHistoryBounded) {
+  core::TestbedOptions options;
+  options.seed = 7;
+  core::VirtioNetTestbed bed{options};
+  const Bytes payload(64, 0x5a);
+  for (int i = 0; i < 20'000; ++i) {
+    ASSERT_TRUE(bed.udp_round_trip(payload).ok) << "echo " << i;
+  }
+  EXPECT_LT(bed.device().counters().history().size(), 2 * kHistory);
 }
 
 TEST(Timeline, EmptyBankRendersPlaceholder) {

@@ -132,6 +132,41 @@ TEST_F(ThreadFixture, SpinUntilInPastIsFree) {
   EXPECT_EQ(thread.poll_time(), sim::Duration{});
 }
 
+// exec_fixed draws the rare stall before the common interference from
+// the thread's stream. The order is part of every simulated timeline, so
+// replay it draw by draw on a clone of the stream.
+TEST(HostThreadNoise, ExecFixedDrawsRareStallThenInterference) {
+  // Rates high enough that both draws usually produce events, so the
+  // two orders leave different RNG states and sums.
+  const sim::NoiseModel noisy{sim::NoiseConfig{.common_rate_per_us = 0.5,
+                                               .rare_rate_per_us = 0.3}};
+  const CostModelConfig costs = CostModelConfig::fedora_defaults();
+  sim::Xoshiro256 rng{17};
+  HostThread thread{rng, costs, noisy};
+  sim::Xoshiro256 replay = rng;
+  sim::Xoshiro256 swapped = rng;
+  sim::SimTime expected = thread.now();
+  sim::SimTime expected_swapped = thread.now();
+  bool orders_diverged = false;
+  for (int i = 0; i < 200; ++i) {
+    const sim::Duration d = sim::nanoseconds(500 + 97 * i);
+    thread.exec_fixed(d);
+
+    const sim::Duration rare = noisy.rare_stall(replay, d);
+    const sim::Duration common = noisy.interference(replay, d);
+    expected += d + rare + common;
+    ASSERT_EQ(thread.now(), expected) << "segment " << i;
+    ASSERT_EQ(rng.state(), replay.state()) << "segment " << i;
+
+    const sim::Duration common_first = noisy.interference(swapped, d);
+    expected_swapped += d + common_first + noisy.rare_stall(swapped, d);
+    orders_diverged = orders_diverged || expected_swapped != expected ||
+                      swapped.state() != replay.state();
+  }
+  EXPECT_TRUE(orders_diverged);
+  EXPECT_EQ(thread.software_time(), expected - sim::SimTime{});
+}
+
 TEST_F(ThreadFixture, ResetAccountingKeepsClock) {
   thread.exec_fixed(sim::microseconds(5));
   const sim::SimTime now = thread.now();

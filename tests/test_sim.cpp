@@ -6,6 +6,7 @@
 #include <cmath>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "vfpga/sim/distributions.hpp"
 #include "vfpga/sim/noise.hpp"
@@ -147,6 +148,69 @@ TEST(Distributions, PoissonMeanMatches) {
     }
     EXPECT_NEAR(static_cast<double>(sum) / kN, mean, mean * 0.1 + 0.05)
         << "mean " << mean;
+  }
+}
+
+// Knuth's loop exactly as sample_poisson ran it before the early exit:
+// the oracle the exit must match draw for draw.
+u64 knuth_poisson(Xoshiro256& rng, double mean) {
+  const double limit = std::exp(-mean);
+  double product = rng.uniform01();
+  u64 count = 0;
+  while (product > limit) {
+    product *= rng.uniform01();
+    ++count;
+  }
+  return count;
+}
+
+TEST(Distributions, PoissonMatchesKnuthLoopDrawForDraw) {
+  std::vector<double> means;
+  // Log-spaced 1e-12 .. 29.99 (the inversion branch's whole range).
+  constexpr int kGrid = 64;
+  for (int i = 0; i < kGrid; ++i) {
+    const double t = static_cast<double>(i) / (kGrid - 1);
+    means.push_back(1e-12 * std::pow(29.99 / 1e-12, t));
+  }
+  // The means the cost model actually asks for: default noise rates over
+  // software segments of tens of ns to a millisecond.
+  const NoiseConfig noise;
+  for (const double us : {0.03, 0.14, 0.28, 0.64, 1.0, 2.6, 8.0, 40.0,
+                          1000.0}) {
+    means.push_back(noise.common_rate_per_us * us);
+    means.push_back(noise.rare_rate_per_us * us);
+  }
+  Xoshiro256 rng{424242};
+  Xoshiro256 oracle = rng;
+  constexpr std::size_t kCalls = 1'200'000;
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    const double mean = means[i % means.size()];
+    const u64 got = sample_poisson(rng, mean);
+    const u64 want = knuth_poisson(oracle, mean);
+    ASSERT_EQ(got, want) << "call " << i << " mean " << mean;
+    ASSERT_EQ(rng.state(), oracle.state()) << "call " << i << " mean " << mean;
+  }
+}
+
+// The early exit's premise: a u at or below 1 - mean - 2^-50 (as
+// computed in doubles) is never above the computed exp(-mean). Walk u
+// across the threshold one representable double at a time.
+TEST(Distributions, PoissonEarlyExitThresholdIsBelowExp) {
+  for (const double mean :
+       {1e-12, 3e-9, 8e-5, 4e-5 * 0.28, 0.00336, 0.012, 0.05, 0.1, 0.25,
+        0.5, 0.75, 0.9}) {
+    const double threshold = 1.0 - mean - 0x1p-50;
+    const double limit = std::exp(-mean);
+    double u = threshold - 0x1p-40;
+    int checked = 0;
+    while (u <= threshold + 0x1p-40) {
+      if (u <= threshold) {
+        ASSERT_LE(u, limit) << "mean " << mean << " u " << u;
+        ++checked;
+      }
+      u = std::nextafter(u, 2.0);
+    }
+    EXPECT_GT(checked, 4000) << "mean " << mean;
   }
 }
 
