@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
+#include <string_view>
 
 #include "vfpga/common/types.hpp"
 
@@ -68,6 +70,54 @@ inline unsigned cli_threads(int argc, char** argv) {
     std::exit(2);
   }
   return *threads;
+}
+
+/// The first argument that is neither one of `switches` nor one of
+/// `valued` (a flag taking an operand, as `--flag X` or `--flag=X`), or
+/// a valued flag whose operand is missing; nullopt when all are known.
+[[nodiscard]] inline std::optional<std::string_view> first_unknown_arg(
+    int argc, char** argv, std::initializer_list<std::string_view> switches,
+    std::initializer_list<std::string_view> valued) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    bool known = false;
+    for (const std::string_view s : switches) {
+      known = known || arg == s;
+    }
+    for (const std::string_view v : valued) {
+      if (arg == v) {
+        if (i + 1 == argc) {
+          return arg;  // operand missing
+        }
+        ++i;
+        known = true;
+      } else if (arg.size() > v.size() && arg.starts_with(v) &&
+                 arg[v.size()] == '=') {
+        known = true;
+      }
+    }
+    if (!known) {
+      return arg;
+    }
+  }
+  return std::nullopt;
+}
+
+/// Reject the command line unless every argument is known (see
+/// first_unknown_arg): print the offender and `usage`, exit 2. A
+/// misspelt flag such as `--smok` must not silently run the default
+/// (full) configuration.
+inline void require_known_args(int argc, char** argv,
+                               std::initializer_list<std::string_view> switches,
+                               std::initializer_list<std::string_view> valued,
+                               const char* usage) {
+  if (const auto bad = first_unknown_arg(argc, argv, switches, valued)) {
+    std::fprintf(stderr, "error: unknown or incomplete argument \"%.*s\"\n",
+                 static_cast<int>(bad->size()), bad->data());
+    std::fprintf(stderr, "usage: %s %s\n", argc > 0 ? argv[0] : "bench",
+                 usage);
+    std::exit(2);
+  }
 }
 
 /// Returns the base seed for a bench run: `--seed` flag, then the

@@ -80,6 +80,9 @@ int main(int argc, char** argv) {
   using namespace vfpga;
   bool smoke = false;
   bool stats_only = false;
+  bench::require_known_args(argc, argv, {"--smoke", "--stats-only"},
+                            {"--seed", "--threads"},
+                            "[--smoke] [--stats-only] [--seed N] [--threads N]");
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;

@@ -13,6 +13,7 @@
 #include "vfpga/mem/host_memory.hpp"
 #include "vfpga/net/checksum.hpp"
 #include "vfpga/net/ethernet.hpp"
+#include "vfpga/net/frame.hpp"
 #include "vfpga/net/ipv4.hpp"
 #include "vfpga/net/udp.hpp"
 #include "vfpga/sim/distributions.hpp"
@@ -136,6 +137,45 @@ void BM_UdpFrameBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UdpFrameBuild)->Arg(64)->Arg(1024);
+
+// The same frame from the one-pass writer into a reused buffer — what
+// the netstack and the echo logic do per packet.
+void BM_UdpFrameWrite(benchmark::State& state) {
+  const Bytes payload(static_cast<std::size_t>(state.range(0)), 1);
+  net::Ipv4FrameHeaders headers;
+  headers.ip.src = net::Ipv4Addr::from_octets(10, 0, 0, 1);
+  headers.ip.dst = net::Ipv4Addr::from_octets(10, 0, 0, 2);
+  Bytes frame(net::udp_frame_bytes(payload.size()));
+  for (auto _ : state) {
+    net::write_udp_frame(frame, headers, net::UdpHeader{1, 2}, payload);
+    benchmark::DoNotOptimize(frame.data());
+  }
+}
+BENCHMARK(BM_UdpFrameWrite)->Arg(64)->Arg(1024);
+
+// One fabric-driven DMA transfer between host memory and BRAM (PCIe
+// read/write timing, data movement, counter captures).
+void BM_DmaChannelTransfer(benchmark::State& state, xdma::Direction dir) {
+  core::TestbedOptions options;
+  options.seed = 97;
+  core::XdmaTestbed bed{options};
+  xdma::DmaChannel& channel = dir == xdma::Direction::H2C
+                                  ? bed.device().h2c()
+                                  : bed.device().c2h();
+  const u32 bytes = static_cast<u32>(state.range(0));
+  const HostAddr host = bed.root_complex().memory().allocate(bytes);
+  sim::SimTime t{};
+  for (auto _ : state) {
+    t = channel.transfer(t, host, 0, bytes);
+  }
+  benchmark::DoNotOptimize(t);
+}
+BENCHMARK_CAPTURE(BM_DmaChannelTransfer, h2c, xdma::Direction::H2C)
+    ->Arg(64)
+    ->Arg(1024);
+BENCHMARK_CAPTURE(BM_DmaChannelTransfer, c2h, xdma::Direction::C2H)
+    ->Arg(64)
+    ->Arg(1024);
 
 void BM_VirtqueueAddHarvest(benchmark::State& state) {
   mem::HostMemory memory;

@@ -57,6 +57,9 @@ void print_cell_json(const vfpga::harness::MultiFlowResult& r, bool first) {
 
 int main(int argc, char** argv) {
   using namespace vfpga;
+  bench::require_known_args(argc, argv, {"--smoke", "--stats-only"},
+                            {"--seed", "--threads"},
+                            "[--smoke] [--stats-only] [--seed N] [--threads N]");
   bool smoke = false;
   bool stats_only = false;
   for (int i = 1; i < argc; ++i) {

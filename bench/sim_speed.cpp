@@ -346,6 +346,11 @@ int main(int argc, char** argv) {
   bool workload_only = false;
   bool soak = false;
   sim::SyncMode sync = sim::SyncMode::kConservative;
+  bench::require_known_args(
+      argc, argv, {"--smoke", "--stats-only", "--workload-only", "--soak"},
+      {"--sync", "--seed", "--threads"},
+      "[--smoke] [--soak] [--stats-only] [--workload-only] "
+      "[--sync conservative|optimistic|auto] [--seed N] [--threads N]");
   for (int i = 1; i < argc; ++i) {
     const char* mode = nullptr;
     if (std::strcmp(argv[i], "--smoke") == 0) {

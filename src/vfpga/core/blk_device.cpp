@@ -135,6 +135,7 @@ void BlkDeviceLogic::mark_dirty(u64 byte_offset, u64 bytes) {
 UserLogic::Response BlkDeviceLogic::status_only(u8 status, u64 cycles,
                                                 u16 queue) {
   Response response;
+  response.payload = take_payload_buffer();  // filled by read/GET_ID
   response.target_queue = queue;
   response.chain_status = status;
   response.processing_cycles = cycles;

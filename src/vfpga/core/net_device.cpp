@@ -5,12 +5,8 @@
 #include "vfpga/common/contract.hpp"
 #include "vfpga/fault/fault_plane.hpp"
 #include "vfpga/migrate/state_io.hpp"
-#include "vfpga/net/arp.hpp"
+#include "vfpga/net/frame.hpp"
 #include "vfpga/net/gso.hpp"
-#include "vfpga/net/icmp.hpp"
-#include "vfpga/net/ethernet.hpp"
-#include "vfpga/net/ipv4.hpp"
-#include "vfpga/net/udp.hpp"
 
 namespace vfpga::core {
 
@@ -212,6 +208,20 @@ u64 NetDeviceLogic::processing_cycles(u64 frame_bytes,
   return cycles;
 }
 
+UserLogic::Response NetDeviceLogic::framed_response(u64 frame_bytes,
+                                                    bool data_valid) {
+  Response response;
+  response.payload = take_payload_buffer();
+  response.payload.resize(NetHeader::kSize + frame_bytes);
+  NetHeader out_hdr;
+  out_hdr.num_buffers = 1;
+  if (data_valid) {
+    out_hdr.flags = NetHeader::kDataValid;
+  }
+  out_hdr.encode(response.payload);
+  return response;
+}
+
 std::optional<UserLogic::Response> NetDeviceLogic::process(
     u16 queue, ConstByteSpan payload, u32 writable_capacity) {
   if (has_ctrl_queue() && queue == ctrl_queue()) {
@@ -226,7 +236,7 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
     return std::nullopt;
   }
   const NetHeader vhdr = NetHeader::decode(payload);
-  Bytes frame(payload.begin() + NetHeader::kSize, payload.end());
+  const ConstByteSpan frame = payload.subspan(NetHeader::kSize);
 
   if (vhdr.gso_type != NetHeader::kGsoNone) {
     return process_gso_udp(vhdr, frame);
@@ -240,7 +250,7 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
 
   // ---- ARP: answer requests for our address ----------------------------------
   if (parsed_eth->header.type == net::EtherType::Arp) {
-    const auto arp = net::parse_arp_message(ConstByteSpan{frame}.subspan(
+    const auto arp = net::parse_arp_message(frame.subspan(
         parsed_eth->payload_offset, parsed_eth->payload_length));
     if (!arp.has_value() || arp->op != net::ArpOp::Request ||
         arp->target_ip != config_.ip) {
@@ -253,26 +263,20 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
     reply.sender_ip = config_.ip;
     reply.target_mac = arp->sender_mac;
     reply.target_ip = arp->sender_ip;
-    const Bytes reply_frame = net::build_ethernet_frame(
+    Response response = framed_response(net::kArpFrameBytes, false);
+    net::write_arp_frame(
+        ByteSpan{response.payload}.subspan(NetHeader::kSize),
         net::EthernetHeader{arp->sender_mac, config_.mac, net::EtherType::Arp},
-        net::build_arp_message(reply));
-
-    Response response;
-    response.payload.resize(NetHeader::kSize + reply_frame.size());
-    NetHeader out_hdr;
-    out_hdr.num_buffers = 1;
-    out_hdr.encode(response.payload);
-    std::copy(reply_frame.begin(), reply_frame.end(),
-              response.payload.begin() + NetHeader::kSize);
+        reply);
     response.target_queue = rx_of_pair;
-    response.processing_cycles = processing_cycles(reply_frame.size(), false);
+    response.processing_cycles = processing_cycles(net::kArpFrameBytes, false);
     ++arp_replies_;
     return response;
   }
 
   // ---- IPv4 ---------------------------------------------------------------------
-  auto ip_span = ConstByteSpan{frame}.subspan(parsed_eth->payload_offset,
-                                              parsed_eth->payload_length);
+  auto ip_span =
+      frame.subspan(parsed_eth->payload_offset, parsed_eth->payload_length);
   const auto parsed_ip = net::parse_ipv4_packet(ip_span);
   if (!parsed_ip.has_value() || !parsed_ip->checksum_ok) {
     ++dropped_;
@@ -296,28 +300,20 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
     const auto icmp_payload = ip_span.subspan(
         parsed_ip->payload_offset + icmp->payload_offset,
         icmp->payload_length);
-    const Bytes reply_icmp = net::build_icmp_echo(reply_hdr, icmp_payload);
-    net::Ipv4Header reply_ip;
-    reply_ip.src = config_.ip;
-    reply_ip.dst = parsed_ip->header.src;
-    reply_ip.protocol = net::IpProtocol::Icmp;
-    reply_ip.identification = parsed_ip->header.identification;
-    const Bytes reply_packet = net::build_ipv4_packet(reply_ip, reply_icmp);
-    const Bytes reply_frame = net::build_ethernet_frame(
-        net::EthernetHeader{parsed_eth->header.src, config_.mac,
-                            net::EtherType::Ipv4},
-        reply_packet);
-
-    Response response;
-    response.payload.resize(NetHeader::kSize + reply_frame.size());
-    NetHeader out_hdr;
-    out_hdr.num_buffers = 1;
-    out_hdr.encode(response.payload);
-    std::copy(reply_frame.begin(), reply_frame.end(),
-              response.payload.begin() + NetHeader::kSize);
+    net::Ipv4FrameHeaders reply;
+    reply.eth = net::EthernetHeader{parsed_eth->header.src, config_.mac,
+                                    net::EtherType::Ipv4};
+    reply.ip.src = config_.ip;
+    reply.ip.dst = parsed_ip->header.src;
+    reply.ip.identification = parsed_ip->header.identification;
+    const u64 reply_bytes = net::icmp_echo_frame_bytes(icmp_payload.size());
+    Response response = framed_response(reply_bytes, false);
+    net::write_icmp_echo_frame(
+        ByteSpan{response.payload}.subspan(NetHeader::kSize), reply,
+        reply_hdr, icmp_payload);
     response.target_queue = rx_of_pair;
     response.processing_cycles =
-        processing_cycles(reply_frame.size(), true);  // csum recompute
+        processing_cycles(reply_bytes, true);  // csum recompute
     ++icmp_echoes_;
     return response;
   }
@@ -335,22 +331,23 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
   // device must complete it — the paper's example of work the FPGA
   // performs "on behalf of the host".
   bool device_checksummed = false;
-  Bytes udp_copy;
   ConstByteSpan udp = udp_span;
   if ((vhdr.flags & NetHeader::kNeedsCsum) != 0) {
-    udp_copy.assign(udp_span.begin(), udp_span.end());
-    net::finalize_udp_checksum(ByteSpan{udp_copy}, parsed_ip->header.src,
+    udp_copy_.assign(udp_span.begin(), udp_span.end());
+    net::finalize_udp_checksum(ByteSpan{udp_copy_}, parsed_ip->header.src,
                                parsed_ip->header.dst);
-    udp = udp_copy;
+    udp = udp_copy_;
     device_checksummed = true;
     ++checksums_offloaded_;
   }
+  // The offload branch just wrote the checksum, so only a
+  // driver-computed one is verified.
   const auto parsed_udp =
-      net::parse_udp_datagram(udp, parsed_ip->header.src, parsed_ip->header.dst);
+      net::parse_udp_datagram(udp, parsed_ip->header.src, parsed_ip->header.dst,
+                              /*verify=*/!device_checksummed);
   // A frame whose UDP length fields were mangled in flight can parse as
   // IPv4 (header checksum intact) but not as UDP. Garbage in -> drop,
-  // never crash the device. The offload branch just wrote the checksum,
-  // so only a driver-computed one is checked.
+  // never crash the device.
   if (!parsed_udp.has_value() ||
       (!device_checksummed && !parsed_udp->checksum_ok)) {
     ++dropped_;
@@ -360,30 +357,31 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
   // Build the echo: same payload, endpoints swapped.
   const auto echo_payload = udp.subspan(
       parsed_udp->payload_offset, parsed_udp->payload_length);
-  const Bytes echo_udp = net::build_udp_datagram(
-      net::UdpHeader{parsed_udp->header.dst_port, parsed_udp->header.src_port},
-      parsed_ip->header.dst, parsed_ip->header.src, echo_payload);
-  net::Ipv4Header echo_ip;
-  echo_ip.src = parsed_ip->header.dst;
-  echo_ip.dst = parsed_ip->header.src;
-  echo_ip.protocol = net::IpProtocol::Udp;
-  echo_ip.identification = parsed_ip->header.identification;
-  const Bytes echo_packet = net::build_ipv4_packet(echo_ip, echo_udp);
-  const Bytes echo_frame = net::build_ethernet_frame(
-      net::EthernetHeader{parsed_eth->header.src, config_.mac,
-                          net::EtherType::Ipv4},
-      echo_packet);
-
-  Response response;
-  response.payload.resize(NetHeader::kSize + echo_frame.size());
-  NetHeader out_hdr;
-  out_hdr.num_buffers = 1;
-  if (negotiated_.has(virtio::feature::net::kGuestCsum)) {
-    out_hdr.flags = NetHeader::kDataValid;  // we computed a full checksum
+  net::Ipv4FrameHeaders echo;
+  echo.eth = net::EthernetHeader{parsed_eth->header.src, config_.mac,
+                                 net::EtherType::Ipv4};
+  echo.ip.src = parsed_ip->header.dst;
+  echo.ip.dst = parsed_ip->header.src;
+  echo.ip.identification = parsed_ip->header.identification;
+  const u64 echo_bytes = net::udp_frame_bytes(echo_payload.size());
+  // The echo swaps addresses and ports, which leaves the datagram's
+  // ones'-complement sum unchanged: when it echoes the whole datagram,
+  // the request's checksum field (verified above, or just completed)
+  // is the echo's too, and the payload is not summed again. A zero
+  // field (sender skipped the checksum) is summed afresh.
+  const u16 request_csum = load_be16(udp, 6);
+  net::UdpChecksum echo_csum;
+  if (request_csum != 0 &&
+      udp.size() == net::UdpHeader::kSize + echo_payload.size()) {
+    echo_csum = {net::UdpChecksum::Mode::kKnown, request_csum};
   }
-  out_hdr.encode(response.payload);
-  std::copy(echo_frame.begin(), echo_frame.end(),
-            response.payload.begin() + NetHeader::kSize);
+  // We compute a full checksum, so the guest may skip verifying it.
+  Response response = framed_response(
+      echo_bytes, negotiated_.has(virtio::feature::net::kGuestCsum));
+  net::write_udp_frame(
+      ByteSpan{response.payload}.subspan(NetHeader::kSize), echo,
+      net::UdpHeader{parsed_udp->header.dst_port, parsed_udp->header.src_port},
+      echo_payload, echo_csum);
   // RSS stage: the echo steers by the symmetric flow hash, which lands
   // on the originating pair because the host picked its TX queue with
   // the same hash (steering faults can divert it — the host detects the
@@ -393,14 +391,14 @@ std::optional<UserLogic::Response> NetDeviceLogic::process(
       parsed_ip->header.dst, parsed_udp->header.dst_port));
   response.target_queue = virtio::net::rx_queue_index(echo_pair);
   response.processing_cycles =
-      processing_cycles(echo_frame.size(), device_checksummed);
+      processing_cycles(echo_bytes, device_checksummed);
   ++udp_echoes_;
   ++pair_echoes_[echo_pair];
   return response;
 }
 
 std::optional<UserLogic::Response> NetDeviceLogic::process_gso_udp(
-    const NetHeader& vhdr, const Bytes& frame) {
+    const NetHeader& vhdr, ConstByteSpan frame) {
   // Fixed frame layout (no IP options): eth 0..13, IP 14..33, UDP 34..41.
   constexpr u64 kIpSrcOff = 26;
   constexpr u64 kIpDstOff = 30;

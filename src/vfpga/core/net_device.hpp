@@ -154,7 +154,11 @@ class NetDeviceLogic final : public UserLogic {
   /// GSO fast path: segment one offloaded superframe, echo the train,
   /// and coalesce it back when the guest accepts large RX frames.
   std::optional<Response> process_gso_udp(const virtio::net::NetHeader& vhdr,
-                                          const Bytes& frame);
+                                          ConstByteSpan frame);
+  /// A response holding a virtio-net header (num_buffers 1, DATA_VALID
+  /// when `data_valid`) followed by `frame_bytes` of zeroes for the
+  /// frame writer to fill, built in the recycled payload buffer.
+  [[nodiscard]] Response framed_response(u64 frame_bytes, bool data_valid);
 
   NetDeviceConfig config_;
   virtio::FeatureSet negotiated_{};
@@ -173,6 +177,9 @@ class NetDeviceLogic final : public UserLogic {
   u64 gso_segments_out_ = 0;
   u64 gro_coalesced_ = 0;
   virtio::net::CoalRxParams rx_coal_{};
+  /// The UDP datagram whose offloaded checksum the device completes,
+  /// reused from frame to frame (scratch, not snapshot state).
+  Bytes udp_copy_;
 };
 
 }  // namespace vfpga::core

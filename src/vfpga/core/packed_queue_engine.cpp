@@ -11,8 +11,8 @@ virtio::Timed<u16> PackedQueueEngine::poll_available(sim::SimTime start) {
   return virtio::Timed<u16>{static_cast<u16>(peek.value ? 1 : 0), peek.done};
 }
 
-virtio::Timed<FetchedChain> PackedQueueEngine::consume_chain(
-    sim::SimTime start) {
+sim::SimTime PackedQueueEngine::consume_chain(sim::SimTime start,
+                                              FetchedChain& chain) {
   sim::SimTime t = start + timing_.clock.cycles(timing_.arbitration_cycles);
   if (!head_cached_) {
     // Defensive re-peek (e.g. a trusted-credit consume without a fresh
@@ -23,13 +23,11 @@ virtio::Timed<FetchedChain> PackedQueueEngine::consume_chain(
   }
   head_cached_ = false;
 
-  auto consumed = vq_.consume_chain(t);
-  t = consumed.done;
-  FetchedChain chain;
-  chain.handle = consumed.value.id;
-  chain.ring_slots = consumed.value.descriptor_count;
-  chain.via_indirect = consumed.value.via_indirect;
-  chain.descriptors = std::move(consumed.value.descriptors);
+  t = vq_.consume_chain(t, walk_);
+  chain.handle = walk_.id;
+  chain.ring_slots = walk_.descriptor_count;
+  chain.via_indirect = walk_.via_indirect;
+  chain.descriptors.swap(walk_.descriptors);
   t += timing_.clock.cycles(timing_.per_descriptor_cycles *
                             chain.descriptors.size());
   if (fault_ != nullptr && chain.via_indirect &&
@@ -46,9 +44,8 @@ virtio::Timed<FetchedChain> PackedQueueEngine::consume_chain(
     // rejects.
     chain.descriptors.front().addr = 0;
   }
-  chain.error =
-      consumed.value.error || !chain_within_bounds(chain, vq_.size());
-  return virtio::Timed<FetchedChain>{std::move(chain), t};
+  chain.error = walk_.error || !chain_within_bounds(chain, vq_.size());
+  return t;
 }
 
 IQueueEngine::Completion PackedQueueEngine::complete_chain(

@@ -24,7 +24,8 @@ class PackedQueueEngine final : public IQueueEngine {
 
   virtio::Timed<u16> poll_available(sim::SimTime start) override;
   [[nodiscard]] bool poll_is_exact() const override { return false; }
-  virtio::Timed<FetchedChain> consume_chain(sim::SimTime start) override;
+  using IQueueEngine::consume_chain;
+  sim::SimTime consume_chain(sim::SimTime start, FetchedChain& out) override;
   Completion complete_chain(const FetchedChain& chain, u32 written,
                             sim::SimTime start,
                             bool refresh_suppression) override;
@@ -41,6 +42,9 @@ class PackedQueueEngine final : public IQueueEngine {
   fault::FaultPlane* fault_ = nullptr;
   bool head_cached_ = false;  ///< a peek has armed the next consume
   std::optional<u16> cached_driver_event_;
+  /// The ring walk's output; its descriptor vector is swapped with the
+  /// consumed chain's, so both keep their capacity.
+  virtio::PackedVirtqueueDevice::Chain walk_;
 };
 
 }  // namespace vfpga::core

@@ -1,5 +1,7 @@
 #include "vfpga/core/queue_engine.hpp"
 
+#include <array>
+
 #include "vfpga/common/contract.hpp"
 #include "vfpga/migrate/state_io.hpp"
 #include "vfpga/virtio/ids.hpp"
@@ -32,16 +34,19 @@ virtio::Timed<u16> QueueEngine::poll_available(sim::SimTime start) {
   return virtio::Timed<u16>{outstanding, idx.done};
 }
 
-virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
+sim::SimTime QueueEngine::consume_chain(sim::SimTime start,
+                                        FetchedChain& chain) {
   sim::SimTime t = start + timing_.clock.cycles(timing_.arbitration_cycles);
 
   const auto entry = vq_.fetch_avail_entry(vq_.next_avail_position(), t);
   t = entry.done;
   vq_.advance_avail_cursor();
 
-  FetchedChain chain;
   chain.handle = entry.value;
   chain.ring_slots = 1;  // split completion needs only the head index
+  chain.error = false;
+  chain.via_indirect = false;
+  chain.descriptors.clear();
 
   if (policy_.batched_chain_fetch) {
     // Speculatively fetch two descriptors in one burst: driver free
@@ -49,19 +54,18 @@ virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
     // second slot is usually the chain's continuation.
     const u16 head = entry.value;
     const u16 burst = static_cast<u16>(head + 1 < vq_.size() ? 2 : 1);
-    auto fetched = vq_.fetch_descriptors(head, burst, t);
-    t = fetched.done;
-    const virtio::Descriptor& first = fetched.value.front();
+    std::array<virtio::Descriptor, 2> fetched{};
+    t = vq_.fetch_descriptors(head, std::span{fetched}.first(burst), t);
+    const virtio::Descriptor& first = fetched.front();
     if ((first.flags & virtio::descflags::kIndirect) != 0) {
       // Speculation miss: the head is an indirect descriptor, so the
       // burst bought nothing — walk it through the indirect path (which
       // re-reads the head; the wasted burst is the realistic penalty).
-      auto indirect = vq_.fetch_chain(head, t);
-      chain.descriptors = std::move(indirect.value.descriptors);
-      chain.via_indirect = indirect.value.via_indirect;
-      t = indirect.done +
-          timing_.clock.cycles(timing_.per_descriptor_cycles *
-                               chain.descriptors.size());
+      t = vq_.fetch_chain(head, t, walk_);
+      chain.descriptors.swap(walk_.descriptors);
+      chain.via_indirect = walk_.via_indirect;
+      t += timing_.clock.cycles(timing_.per_descriptor_cycles *
+                                chain.descriptors.size());
       if (fault_ != nullptr && chain.via_indirect &&
           fault_->should_inject(fault::FaultClass::kIndirectCorrupt) &&
           !chain.descriptors.empty()) {
@@ -72,15 +76,14 @@ virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
           !chain.descriptors.empty()) {
         chain.descriptors.front().addr = 0;
       }
-      chain.error =
-          indirect.value.error || !chain_within_bounds(chain, vq_.size());
-      return virtio::Timed<FetchedChain>{std::move(chain), t};
+      chain.error = walk_.error || !chain_within_bounds(chain, vq_.size());
+      return t;
     }
     chain.descriptors.push_back(first);
     u16 next = first.next;
     bool more = (first.flags & virtio::descflags::kNext) != 0;
     if (more && burst == 2 && next == head + 1) {
-      const virtio::Descriptor& second = fetched.value[1];
+      const virtio::Descriptor& second = fetched[1];
       chain.descriptors.push_back(second);
       next = second.next;
       more = (second.flags & virtio::descflags::kNext) != 0;
@@ -95,11 +98,10 @@ virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
   }
   bool fetch_error = false;
   if (!policy_.batched_chain_fetch) {
-    auto fetched = vq_.fetch_chain(entry.value, t);
-    t = fetched.done;
-    chain.descriptors = std::move(fetched.value.descriptors);
-    chain.via_indirect = fetched.value.via_indirect;
-    fetch_error = fetched.value.error;
+    t = vq_.fetch_chain(entry.value, t, walk_);
+    chain.descriptors.swap(walk_.descriptors);
+    chain.via_indirect = walk_.via_indirect;
+    fetch_error = walk_.error;
   }
   t += timing_.clock.cycles(timing_.per_descriptor_cycles *
                             chain.descriptors.size());
@@ -118,7 +120,7 @@ virtio::Timed<FetchedChain> QueueEngine::consume_chain(sim::SimTime start) {
     chain.descriptors.front().addr = 0;
   }
   chain.error = fetch_error || !chain_within_bounds(chain, vq_.size());
-  return virtio::Timed<FetchedChain>{std::move(chain), t};
+  return t;
 }
 
 IQueueEngine::Completion QueueEngine::complete_chain(

@@ -118,9 +118,18 @@ class IQueueEngine {
   virtual virtio::Timed<u16> poll_available(sim::SimTime start) = 0;
   [[nodiscard]] virtual bool poll_is_exact() const = 0;
 
-  /// Consume the next available chain (requires a prior poll that
-  /// reported availability).
-  virtual virtio::Timed<FetchedChain> consume_chain(sim::SimTime start) = 0;
+  /// Consume the next available chain into `out` (requires a prior poll
+  /// that reported availability). `out` is overwritten and its
+  /// descriptor storage reused, so consuming into a warmed-up chain
+  /// allocates nothing. Returns the time the chain is fetched.
+  virtual sim::SimTime consume_chain(sim::SimTime start,
+                                     FetchedChain& out) = 0;
+  /// Allocating convenience form of the above.
+  virtio::Timed<FetchedChain> consume_chain(sim::SimTime start) {
+    FetchedChain chain;
+    const sim::SimTime done = consume_chain(start, chain);
+    return virtio::Timed<FetchedChain>{std::move(chain), done};
+  }
 
   struct Completion {
     sim::SimTime engine_free{};
@@ -181,7 +190,8 @@ class QueueEngine final : public IQueueEngine {
 
   virtio::Timed<u16> poll_available(sim::SimTime start) override;
   [[nodiscard]] bool poll_is_exact() const override { return true; }
-  virtio::Timed<FetchedChain> consume_chain(sim::SimTime start) override;
+  using IQueueEngine::consume_chain;
+  sim::SimTime consume_chain(sim::SimTime start, FetchedChain& out) override;
   Completion complete_chain(const FetchedChain& chain, u32 written,
                             sim::SimTime start,
                             bool refresh_suppression) override;
@@ -200,6 +210,9 @@ class QueueEngine final : public IQueueEngine {
   ControllerPolicy policy_;
   fault::FaultPlane* fault_ = nullptr;
   std::optional<u16> cached_used_event_;
+  /// The device-side chain walk's output; its descriptor vector is
+  /// swapped with the consumed chain's, so both keep their capacity.
+  virtio::ChainFetch walk_;
   /// Used entries pushed with a stale suppression snapshot since the
   /// last fresh used_event read: the next fresh decision widens its
   /// crossing window over them (a mergeable RX span must interrupt if

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <optional>
+#include <utility>
 
 #include "vfpga/common/types.hpp"
 #include "vfpga/sim/time.hpp"
@@ -100,12 +101,21 @@ class UserLogic {
   }
 
   /// Process one buffer the host made available on `queue`. `payload`
-  /// is the gathered device-readable bytes of the chain;
+  /// is the gathered device-readable bytes of the chain, viewed in the
+  /// controller's BRAM staging area: it stays valid only until the
+  /// controller stages the response there, so a response must own (or
+  /// have copied) every byte it takes from it.
   /// `writable_capacity` is the total size of the chain's
   /// device-writable buffers (a same-chain response must fit in it —
   /// block-style requests derive their read length from it).
   virtual std::optional<Response> process(u16 queue, ConstByteSpan payload,
                                           u32 writable_capacity) = 0;
+
+  /// The controller hands each response's payload buffer back once the
+  /// bytes are staged in BRAM. A personality builds its next response in
+  /// take_payload_buffer(), so a steady stream of responses reuses one
+  /// allocation instead of making one per response.
+  void recycle_payload(Bytes&& buffer) { spare_payload_ = std::move(buffer); }
 
   /// Descriptor-level shape of the chain being processed, for
   /// personalities that enforce per-request segment limits (virtio-blk
@@ -131,6 +141,17 @@ class UserLogic {
                                                 const ChainMeta& /*meta*/) {
     return process(queue, payload, writable_capacity);
   }
+
+ protected:
+  /// An empty buffer with the capacity of the last recycled payload.
+  [[nodiscard]] Bytes take_payload_buffer() {
+    Bytes buffer = std::move(spare_payload_);
+    buffer.clear();
+    return buffer;
+  }
+
+ private:
+  Bytes spare_payload_;
 };
 
 }  // namespace vfpga::core

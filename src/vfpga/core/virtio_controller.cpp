@@ -1,6 +1,7 @@
 #include "vfpga/core/virtio_controller.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "vfpga/common/contract.hpp"
 #include "vfpga/common/endian.hpp"
@@ -59,7 +60,8 @@ VirtioDeviceFunction::VirtioDeviceFunction(UserLogic& user_logic,
       credits_(user_logic.queue_count(), 0),
       total_drained_(user_logic.queue_count(), 0),
       queue_busy_until_(user_logic.queue_count()),
-      moderation_(user_logic.queue_count()) {
+      moderation_(user_logic.queue_count()),
+      chains_(user_logic.queue_count()) {
   const virtio::DeviceType type = user_logic.device_type();
   auto& cfg = this->config();
   cfg.set_ids(virtio::kVirtioPciVendorId, virtio::modern_pci_device_id(type),
@@ -512,9 +514,8 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
 
   while (credits_[queue] > 0) {
     --credits_[queue];
-    auto fetched = eng.consume_chain(t);
-    t = fetched.done;
-    const FetchedChain& chain = fetched.value;
+    FetchedChain& chain = chains_[queue].source;
+    t = eng.consume_chain(t, chain);
     if (chain.error) {
       // Corrupted descriptor table: never touch the chain's buffers —
       // fence the datapath and wait for the driver to reset us.
@@ -524,35 +525,30 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
 
     // Stage the device-readable payload into BRAM through the DMA
     // engine (Fig. 2: the engine moves data between host memory and
-    // FPGA memory), then hand it to user logic. Multi-segment chains
-    // gather as one pipelined read burst; single-buffer chains keep the
-    // plain transfer path.
-    Bytes payload;
-    std::vector<xdma::DmaChannel::GatherSegment> gather;
+    // FPGA memory), then hand user logic a read-only view of it — BRAM
+    // is the one device-side copy. Multi-segment chains gather as one
+    // pipelined read burst; single-buffer chains keep the plain
+    // transfer path.
+    gather_.clear();
     for (const virtio::Descriptor& d : chain.descriptors) {
       if ((d.flags & virtio::descflags::kWrite) != 0) {
         continue;
       }
-      gather.push_back({d.addr, d.len});
+      gather_.push_back({d.addr, d.len});
     }
-    if (gather.size() > 1) {
-      u64 total = 0;
-      for (const xdma::DmaChannel::GatherSegment& s : gather) {
-        total += s.bytes;
+    u64 staged = 0;
+    if (gather_.size() > 1) {
+      t = h2c_->transfer_gather(t, gather_, 0);
+      for (const xdma::DmaChannel::GatherSegment& s : gather_) {
+        staged += s.bytes;
       }
-      t = h2c_->transfer_gather(t, gather, 0);
-      payload.resize(total);
-      bram_.read(0, ByteSpan{payload});
     } else {
-      FpgaAddr bram_cursor = 0;
-      for (const xdma::DmaChannel::GatherSegment& s : gather) {
-        t = h2c_->transfer(t, s.host_addr, bram_cursor, s.bytes);
-        const std::size_t old = payload.size();
-        payload.resize(old + s.bytes);
-        bram_.read(bram_cursor, ByteSpan{payload}.subspan(old));
-        bram_cursor += s.bytes;
+      for (const xdma::DmaChannel::GatherSegment& s : gather_) {
+        t = h2c_->transfer(t, s.host_addr, staged, s.bytes);
+        staged += s.bytes;
       }
     }
+    const ConstByteSpan payload = std::as_const(bram_).span(0, staged);
     ++frames_processed_;
 
     u32 writable_capacity = 0;
@@ -588,30 +584,30 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
         response.has_value() && response->target_queue == queue;
 
     if (same_chain_response) {
-      // Block-device style: write into the writable tail of this chain.
-      Bytes staged = response->payload;
+      // Block-device style: write into the writable tail of this chain,
+      // staging one descriptor's worth at a time at BRAM offset 0.
+      const ConstByteSpan out{response->payload};
       u32 written = 0;
       sim::SimTime issuer = t;
       std::size_t off = 0;
       for (const virtio::Descriptor& d : chain.descriptors) {
-        if ((d.flags & virtio::descflags::kWrite) == 0 ||
-            off >= staged.size()) {
+        if ((d.flags & virtio::descflags::kWrite) == 0 || off >= out.size()) {
           continue;
         }
         const u32 chunk =
-            static_cast<u32>(std::min<std::size_t>(d.len, staged.size() - off));
-        bram_.write(0, ConstByteSpan{staged}.subspan(off, chunk));
+            static_cast<u32>(std::min<std::size_t>(d.len, out.size() - off));
+        bram_.write(0, out.subspan(off, chunk));
         issuer = c2h_->transfer(issuer, d.addr, 0, chunk);
         off += chunk;
         written += chunk;
       }
-      VFPGA_ASSERT(off == staged.size());
+      VFPGA_ASSERT(off == out.size());
       if (response->chain_status.has_value()) {
         // §5.2.6: the status byte is the LAST byte of the chain's last
         // device-writable descriptor — the dedicated status descriptor
         // in a conforming [header][data][status] request. The data
         // scatter above must have left it free.
-        VFPGA_EXPECTS(staged.size() + 1 <= writable_capacity);
+        VFPGA_EXPECTS(out.size() + 1 <= writable_capacity);
         const virtio::Descriptor* last_writable = nullptr;
         for (const virtio::Descriptor& d : chain.descriptors) {
           if ((d.flags & virtio::descflags::kWrite) != 0) {
@@ -619,14 +615,14 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
           }
         }
         VFPGA_ASSERT(last_writable != nullptr);
-        const Bytes status_byte{*response->chain_status};
-        bram_.write(0, status_byte);
+        bram_.span(0, 1)[0] = *response->chain_status;
         issuer = c2h_->transfer(issuer,
                                 last_writable->addr + last_writable->len - 1,
                                 0, 1);
         written += 1;
       }
       t = issuer;
+      user_logic_->recycle_payload(std::move(response->payload));
       const auto completion =
           eng.complete_chain(chain, written, t, /*refresh_suppression=*/true);
       t = completion.engine_free;
@@ -652,10 +648,10 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
         ++interrupts_suppressed_;
       }
       if (response.has_value()) {
-        t = deliver_response_train(*response, chain, queue, t);
+        t = deliver_response_train(*response, t);
       }
     } else {
-      t = deliver_response_train(*response, chain, queue, t);
+      t = deliver_response_train(*response, t);
       const auto completion = eng.complete_chain(
           chain, 0, t, /*refresh_suppression=*/false);
       t = completion.engine_free;
@@ -664,6 +660,9 @@ void VirtioDeviceFunction::process_notify(u16 queue, sim::SimTime at) {
       } else {
         ++interrupts_suppressed_;
       }
+    }
+    if (response.has_value()) {
+      user_logic_->recycle_payload(std::move(response->payload));
     }
     t = replenish_credits(eng, queue, t);
   }
@@ -686,12 +685,9 @@ sim::SimTime VirtioDeviceFunction::replenish_credits(IQueueEngine& eng,
   return t;
 }
 
-sim::SimTime VirtioDeviceFunction::deliver_response(
-    const UserLogic::Response& response, const FetchedChain& source_chain,
-    u16 source_queue, sim::SimTime t) {
-  (void)source_chain;
-  (void)source_queue;
-  const u16 target = response.target_queue;
+sim::SimTime VirtioDeviceFunction::deliver_response(ConstByteSpan payload,
+                                                   u16 target,
+                                                   sim::SimTime t) {
   VFPGA_EXPECTS(target < queue_state_.size());
   if (!queue_state_[target].enabled) {
     return t;  // target queue not live: drop, as a NIC drops without buffers
@@ -709,11 +705,12 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
   const bool mergeable =
       negotiated.has(virtio::feature::net::kMrgRxbuf) &&
       user_logic_->device_type() == virtio::DeviceType::Net &&
-      response.payload.size() >= virtio::net::NetHeader::kSize;
+      payload.size() >= virtio::net::NetHeader::kSize;
 
   // Consume chains until their writable capacity covers the payload
   // (exactly one without MRG_RXBUF).
-  std::vector<FetchedChain> chains;
+  std::vector<FetchedChain>& span = chains_[target].span;
+  std::size_t chain_count = 0;
   u64 capacity = 0;
   while (true) {
     if (credits_[target] == 0 || !config_.policy.trust_cached_credits) {
@@ -721,7 +718,7 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
       t = poll.done;
       credits_[target] = poll.value;
       if (credits_[target] == 0) {
-        if (chains.empty()) {
+        if (chain_count == 0) {
           VFPGA_WARN("virtio-ctl",
                      "no RX buffer available: dropping response");
           queue_busy_until_[target] = t;
@@ -732,60 +729,62 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
     }
     --credits_[target];
 
-    auto fetched = eng.consume_chain(t);
-    t = fetched.done;
-    if (fetched.value.error) {
+    if (chain_count == span.size()) {
+      span.emplace_back();
+    }
+    FetchedChain& chain = span[chain_count];
+    t = eng.consume_chain(t, chain);
+    if (chain.error) {
       device_error(t);
       queue_busy_until_[target] = t;
       return t;
     }
-    for (const virtio::Descriptor& d : fetched.value.descriptors) {
+    ++chain_count;
+    for (const virtio::Descriptor& d : chain.descriptors) {
       if ((d.flags & virtio::descflags::kWrite) != 0) {
         capacity += d.len;
       }
     }
-    chains.push_back(std::move(fetched.value));
-    if (!mergeable || capacity >= response.payload.size()) {
+    if (!mergeable || capacity >= payload.size()) {
       break;
     }
   }
 
-  // Stage the response in BRAM — patching the span count into the net
-  // header first — then scatter into the chains' writable buffers via
-  // the C2H engine, one used entry per chain.
-  Bytes staged = response.payload;
+  // Stage the response in BRAM — patching the span count into the
+  // staged net header — then scatter into the chains' writable buffers
+  // via the C2H engine, one used entry per chain.
+  bram_.write(0, payload);
   if (mergeable) {
-    store_le16(ByteSpan{staged}, virtio::net::NetHeader::kNumBuffersOffset,
-               static_cast<u16>(chains.size()));
+    bram_.write_le16(virtio::net::NetHeader::kNumBuffersOffset,
+                     static_cast<u16>(chain_count));
   }
-  bram_.write(0, staged);
   std::size_t off = 0;
   bool want_interrupt = false;
-  for (std::size_t ci = 0; ci < chains.size(); ++ci) {
+  for (std::size_t ci = 0; ci < chain_count; ++ci) {
     u32 written = 0;
-    for (const virtio::Descriptor& d : chains[ci].descriptors) {
+    for (const virtio::Descriptor& d : span[ci].descriptors) {
       if ((d.flags & virtio::descflags::kWrite) == 0) {
         continue;
       }
-      if (off >= staged.size()) {
+      if (off >= payload.size()) {
         break;
       }
       const u32 chunk =
-          static_cast<u32>(std::min<std::size_t>(d.len, staged.size() - off));
+          static_cast<u32>(std::min<std::size_t>(d.len, payload.size() - off));
       t = c2h_->transfer(t, d.addr, off, chunk);
       off += chunk;
       written += chunk;
     }
     // Refresh the suppression snapshot only on the frame's last
     // completion — the one whose interrupt decision is acted on.
-    const bool last = ci + 1 == chains.size();
+    const bool last = ci + 1 == chain_count;
     const auto completion =
-        eng.complete_chain(chains[ci], written, t,
+        eng.complete_chain(span[ci], written, t,
                            /*refresh_suppression=*/last);
     t = completion.engine_free;
     want_interrupt = want_interrupt || completion.interrupt;
   }
-  if (off < staged.size()) {
+  if (off < payload.size()) {
     // The ring ran out of buffers mid-span (or a lone chain was too
     // small without MRG_RXBUF): a NIC truncates/drops rather than
     // halting — the driver sees the short `written` total.
@@ -801,14 +800,10 @@ sim::SimTime VirtioDeviceFunction::deliver_response(
 }
 
 sim::SimTime VirtioDeviceFunction::deliver_response_train(
-    const UserLogic::Response& response, const FetchedChain& source_chain,
-    u16 source_queue, sim::SimTime t) {
-  t = deliver_response(response, source_chain, source_queue, t);
+    const UserLogic::Response& response, sim::SimTime t) {
+  t = deliver_response(response.payload, response.target_queue, t);
   for (const Bytes& frame : response.trailing_frames) {
-    UserLogic::Response follow;
-    follow.payload = frame;
-    follow.target_queue = response.target_queue;
-    t = deliver_response(follow, source_chain, source_queue, t);
+    t = deliver_response(frame, response.target_queue, t);
   }
   return t;
 }

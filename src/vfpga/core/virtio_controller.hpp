@@ -189,16 +189,15 @@ class VirtioDeviceFunction : public pcie::Function {
 
   // ---- datapath ----
   void process_notify(u16 queue, sim::SimTime at);
-  /// Deliver a response: scatter into an RX-style chain on target_queue
-  /// (or the same chain for block-style), update used, maybe interrupt.
-  sim::SimTime deliver_response(const UserLogic::Response& response,
-                                const FetchedChain& source_chain,
-                                u16 source_queue, sim::SimTime t);
+  /// Deliver one response frame on `target` (a queue other than the
+  /// source, network-RX style): stage it at BRAM offset 0, scatter it
+  /// into the RX chain(s), update used, maybe interrupt.
+  sim::SimTime deliver_response(ConstByteSpan payload, u16 target,
+                                sim::SimTime t);
   /// Deliver the primary response plus any trailing frames (a device
   /// GSO engine emitting a segment train) back-to-back on its target.
   sim::SimTime deliver_response_train(const UserLogic::Response& response,
-                                      const FetchedChain& source_chain,
-                                      u16 source_queue, sim::SimTime t);
+                                      sim::SimTime t);
   void fire_queue_interrupt(u16 queue, sim::SimTime at);
   /// Interrupt-moderation gate for RX deliveries: consult the user
   /// logic's per-queue window and withhold the MSI-X message until the
@@ -253,6 +252,17 @@ class VirtioDeviceFunction : public pcie::Function {
     sim::SimTime deadline{};
   };
   std::vector<ModerationState> moderation_;
+  /// Per-queue chain storage, reused from notify to notify so the
+  /// steady-state datapath allocates nothing: the chain being processed
+  /// on the queue, and the RX chains a response delivered on it spans
+  /// (grown to the longest span seen). Scratch, not snapshot state.
+  struct ChainScratch {
+    FetchedChain source;
+    std::vector<FetchedChain> span;
+  };
+  std::vector<ChainScratch> chains_;
+  /// Device-readable segments of the chain being staged (scratch).
+  std::vector<xdma::DmaChannel::GatherSegment> gather_;
 
   sim::Duration last_response_generation_{};
   u64 frames_processed_ = 0;

@@ -9,10 +9,10 @@
 // bit serviced at the next window.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
+#include "vfpga/common/fifo.hpp"
 #include "vfpga/pcie/root_complex.hpp"
 #include "vfpga/sim/time.hpp"
 
@@ -64,7 +64,7 @@ class InterruptController {
   void load_state(migrate::StateReader& r);
 
  private:
-  std::vector<std::deque<sim::SimTime>> queues_;
+  std::vector<Fifo<sim::SimTime>> queues_;
   std::vector<u64> delivered_per_vector_;
   u64 delivered_ = 0;
 };

@@ -5,7 +5,7 @@
 #include "vfpga/common/contract.hpp"
 #include "vfpga/common/endian.hpp"
 #include "vfpga/migrate/state_io.hpp"
-#include "vfpga/net/ethernet.hpp"
+#include "vfpga/net/frame.hpp"
 #include "vfpga/net/gso.hpp"
 #include "vfpga/net/ipv4.hpp"
 #include "vfpga/net/rss.hpp"
@@ -38,15 +38,12 @@ bool KernelNetstack::udp_sendmsg(HostThread& thread, u16 src_port,
                                  std::span<const ConstByteSpan> iov,
                                  bool more_coming, bool zerocopy) {
   thread.exec(thread.costs().syscall_entry);
-  Bytes payload;
-  u64 total = 0;
-  for (const ConstByteSpan frag : iov) {
-    total += frag.size();
-  }
-  payload.reserve(total);
+  Bytes& payload = tx_payload_;
+  payload.clear();
   for (const ConstByteSpan frag : iov) {
     payload.insert(payload.end(), frag.begin(), frag.end());
   }
+  const u64 total = payload.size();
   if (!zerocopy) {
     // copy_from_user of every fragment; MSG_ZEROCOPY pins the pages
     // instead and leaves the per-segment mapping charge to the driver.
@@ -107,28 +104,25 @@ bool KernelNetstack::send_built(HostThread& thread, u16 src_port,
     return false;
   }
 
-  const Bytes udp = net::build_udp_datagram(net::UdpHeader{src_port, dst_port},
-                                            config_.host_ip, dst, payload);
-  net::Ipv4Header ip;
-  ip.src = config_.host_ip;
-  ip.dst = dst;
-  ip.protocol = net::IpProtocol::Udp;
-  ip.ttl = config_.ip_ttl;
-  ip.identification = next_ip_id_++;
-  Bytes packet = net::build_ipv4_packet(ip, udp);
-
+  net::Ipv4FrameHeaders headers;
+  headers.eth = net::EthernetHeader{*neighbour, driver_->mac(),
+                                    net::EtherType::Ipv4};
+  headers.ip.src = config_.host_ip;
+  headers.ip.dst = dst;
+  headers.ip.ttl = config_.ip_ttl;
+  headers.ip.identification = next_ip_id_++;
+  // With VIRTIO_NET_F_CSUM the stack leaves the L4 checksum for the
+  // device and never sums the datagram: the field stays 0 (the partial
+  // pseudo-header sum is logically there; the device recomputes in
+  // full).
   const bool offload_csum =
       driver_->negotiated().has(virtio::feature::net::kCsum);
-  if (offload_csum) {
-    // The stack leaves the L4 checksum for the device: zero the field
-    // (the partial pseudo-header sum is logically there; the device
-    // recomputes in full).
-    store_be16(ByteSpan{packet}, net::Ipv4Header::kSize + 6, 0);
-  }
-
-  const Bytes frame = net::build_ethernet_frame(
-      net::EthernetHeader{*neighbour, driver_->mac(), net::EtherType::Ipv4},
-      packet);
+  tx_frame_.resize(net::udp_frame_bytes(payload.size()));
+  net::write_udp_frame(
+      tx_frame_, headers, net::UdpHeader{src_port, dst_port}, payload,
+      {offload_csum ? net::UdpChecksum::Mode::kOffload
+                    : net::UdpChecksum::Mode::kCompute});
+  const ConstByteSpan frame{tx_frame_};
 
   // Queue selection mirrors the device's RSS stage: same hash, same
   // reduction, so the echo lands on the TX queue's partner RX queue.
@@ -204,12 +198,13 @@ std::optional<net::MacAddr> KernelNetstack::arp_resolve(HostThread& thread,
   request.sender_ip = config_.host_ip;
   request.target_mac = net::MacAddr{};
   request.target_ip = ip;
-  const Bytes frame = net::build_ethernet_frame(
-      net::EthernetHeader{net::kBroadcastMac, driver_->mac(),
-                          net::EtherType::Arp},
-      net::build_arp_message(request));
+  tx_frame_.resize(net::kArpFrameBytes);
+  net::write_arp_frame(tx_frame_,
+                       net::EthernetHeader{net::kBroadcastMac, driver_->mac(),
+                                           net::EtherType::Arp},
+                       request);
   thread.exec(thread.costs().udp_tx_stack);  // neigh xmit path
-  driver_->xmit_frame(thread, frame, false);
+  driver_->xmit_frame(thread, tx_frame_, false);
 
   if (!irq_->pending(driver_->rx_vector())) {
     return std::nullopt;  // nobody answered
@@ -227,7 +222,8 @@ void KernelNetstack::service_rx_interrupt(HostThread& thread,
 }
 
 void KernelNetstack::demux_frames(HostThread& thread, u16 pair) {
-  while (const auto rx = driver_->pop_rx_frame(pair)) {
+  while (driver_->take_rx_frame(pair, rx_frame_)) {
+    const VirtioNetDriver::RxFrame* rx = &rx_frame_;
     const Bytes& raw = rx->frame;
     const auto eth = net::parse_ethernet_frame(raw);
     if (!eth.has_value()) {
@@ -452,18 +448,18 @@ std::optional<sim::Duration> KernelNetstack::icmp_ping(
   if (!neighbour.has_value()) {
     return std::nullopt;
   }
-  const Bytes icmp = net::build_icmp_echo(
+  net::Ipv4FrameHeaders headers;
+  headers.eth = net::EthernetHeader{*neighbour, driver_->mac(),
+                                    net::EtherType::Ipv4};
+  headers.ip.src = config_.host_ip;
+  headers.ip.dst = dst;
+  headers.ip.identification = next_ip_id_++;
+  tx_frame_.resize(net::icmp_echo_frame_bytes(payload.size()));
+  net::write_icmp_echo_frame(
+      tx_frame_, headers,
       net::IcmpEcho{net::IcmpType::EchoRequest, identifier, sequence},
       payload);
-  net::Ipv4Header ip;
-  ip.src = config_.host_ip;
-  ip.dst = dst;
-  ip.protocol = net::IpProtocol::Icmp;
-  ip.identification = next_ip_id_++;
-  const Bytes frame = net::build_ethernet_frame(
-      net::EthernetHeader{*neighbour, driver_->mac(), net::EtherType::Ipv4},
-      net::build_ipv4_packet(ip, icmp));
-  driver_->xmit_frame(thread, frame, false);
+  driver_->xmit_frame(thread, tx_frame_, false);
 
   // Block for the reply.
   if (icmp_replies_.empty()) {

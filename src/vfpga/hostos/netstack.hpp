@@ -10,10 +10,10 @@
 // (§III-B.1) — is configure_fpga_route().
 #pragma once
 
-#include <deque>
 #include <map>
 #include <optional>
 
+#include "vfpga/common/fifo.hpp"
 #include "vfpga/hostos/virtio_net_driver.hpp"
 #include "vfpga/net/arp.hpp"
 #include "vfpga/net/icmp.hpp"
@@ -189,7 +189,7 @@ class KernelNetstack {
   net::RoutingTable routes_;
   net::ArpCache arp_;
   u16 next_ip_id_ = 1;
-  std::map<u16, std::deque<Datagram>> socket_queues_;
+  std::map<u16, Fifo<Datagram>> socket_queues_;
   /// local port -> queue pair its flow hashes to (set on transmit).
   std::map<u16, u16> flow_affinity_;
   u64 steering_mismatches_ = 0;
@@ -200,7 +200,16 @@ class KernelNetstack {
     u16 sequence = 0;
     Bytes payload;
   };
-  std::deque<IcmpReply> icmp_replies_;
+  Fifo<IcmpReply> icmp_replies_;
+  /// The frame being demultiplexed, swapped out of the driver's RX
+  /// backlog (scratch: its buffer ping-pongs with the backlog's).
+  VirtioNetDriver::RxFrame rx_frame_;
+  /// udp_sendmsg's fragments gathered into one payload (scratch).
+  Bytes tx_payload_;
+  /// Frame under construction on the transmit paths, reused from call
+  /// to call (the driver copies it into its DMA buffer). Scratch, not
+  /// state: snapshots never carry it.
+  Bytes tx_frame_;
   u64 frames_demuxed_ = 0;
   u64 frames_dropped_ = 0;
   u64 tx_superframes_ = 0;

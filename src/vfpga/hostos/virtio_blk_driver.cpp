@@ -131,8 +131,8 @@ std::optional<u32> VirtioBlkDriver::submit_io(HostThread& thread, u16 queue,
     memory.write(slot.data_addr, out_data);
   }
 
-  std::vector<virtio::ChainBuffer> chain;
-  chain.reserve(2 + data_segments);
+  std::vector<virtio::ChainBuffer>& chain = chain_;
+  chain.clear();
   chain.push_back({slot.header_addr, virtio::blk::kRequestHeaderBytes,
                    false});
   const bool writable =

@@ -20,9 +20,9 @@
 // requests it cannot express.
 #pragma once
 
-#include <deque>
 #include <string>
 
+#include "vfpga/common/fifo.hpp"
 #include "vfpga/hostos/virtio_transport.hpp"
 #include "vfpga/virtio/blk_defs.hpp"
 
@@ -165,7 +165,7 @@ class VirtioBlkDriver {
     u16 in_flight = 0;
     std::vector<Slot> slots;
     std::vector<u32> free_slots;
-    std::deque<Completion> completed;
+    Fifo<Completion> completed;
   };
 
   std::optional<u32> submit_io(HostThread& thread, u16 queue,
@@ -190,6 +190,9 @@ class VirtioBlkDriver {
   u64 requests_failed_ = 0;
   u64 irq_recoveries_ = 0;
   u64 rejected_oversize_ = 0;
+  /// The request chain being submitted, reused from request to request
+  /// (scratch, not snapshot state).
+  std::vector<virtio::ChainBuffer> chain_;
 };
 
 }  // namespace vfpga::hostos

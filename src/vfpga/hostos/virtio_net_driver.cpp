@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 #include <vector>
 
 #include "vfpga/common/contract.hpp"
@@ -491,8 +492,8 @@ bool VirtioNetDriver::xmit_frame(HostThread& thread, ConstByteSpan frame,
     // descriptors — no bounce memcpy; the charge is one DMA mapping per
     // segment (dma_map_single / sg-entry build).
     const u32 seg = std::max<u32>(datapath_.sg_segment_bytes, 1);
-    std::vector<virtio::ChainBuffer> sg;
-    sg.reserve(2 + frame.size() / seg);
+    std::vector<virtio::ChainBuffer>& sg = tx_sg_;
+    sg.clear();
     sg.push_back(virtio::ChainBuffer{ps.tx_buffers[slot].hdr_addr,
                                      static_cast<u32>(NetHeader::kSize),
                                      false});
@@ -565,22 +566,27 @@ bool VirtioNetDriver::harvest_one_rx(virtio::DriverRing& rx, PairState& ps) {
   const auto completion = rx.harvest();
   VFPGA_ASSERT(completion.has_value());
   const RxBuffer& buf = ps.rx_buffers[completion->token];
-  const Bytes data =
-      transport_.memory().read_bytes(buf.addr, completion->written);
+  const mem::HostMemory& memory = transport_.memory();
+  // Frame bytes are read straight into reused storage: the span's
+  // reassembly buffer or a recycled backlog slot.
   bool frame_done = false;
   if (ps.rx_partial_remaining > 0) {
     // Continuation buffer of a mergeable span: raw frame bytes, no
     // header (§5.1.6.4 — only the first buffer carries virtio_net_hdr).
-    ps.rx_partial.insert(ps.rx_partial.end(), data.begin(), data.end());
+    const std::size_t old_size = ps.rx_partial.size();
+    ps.rx_partial.resize(old_size + completion->written);
+    memory.read(buf.addr, ByteSpan{ps.rx_partial}.subspan(old_size));
     if (--ps.rx_partial_remaining == 0) {
-      RxFrame done = std::move(ps.rx_partial_meta);
-      done.frame = std::move(ps.rx_partial);
+      RxFrame& done = ps.rx_backlog.emplace_slot();
+      done.csum_valid = ps.rx_partial_meta.csum_valid;
+      done.gso_type = ps.rx_partial_meta.gso_type;
+      done.gso_size = ps.rx_partial_meta.gso_size;
+      done.frame.swap(ps.rx_partial);
+      ps.rx_partial.clear();
+      ps.rx_partial_meta = RxFrame{};
       if (done.gso_type != NetHeader::kGsoNone) {
         ++rx_gro_frames_;
       }
-      ps.rx_backlog.push_back(std::move(done));
-      ps.rx_partial = Bytes{};
-      ps.rx_partial_meta = RxFrame{};
       ++rx_packets_;
       ++ps.rx_packets;
       ++rx_merged_frames_;
@@ -588,26 +594,29 @@ bool VirtioNetDriver::harvest_one_rx(virtio::DriverRing& rx, PairState& ps) {
     }
   } else {
     VFPGA_ASSERT(completion->written >= NetHeader::kSize);
-    const NetHeader vhdr = NetHeader::decode(data);
-    RxFrame meta;
+    std::array<u8, NetHeader::kSize> raw_hdr{};
+    memory.read(buf.addr, raw_hdr);
+    const NetHeader vhdr = NetHeader::decode(raw_hdr);
+    const u64 frame_bytes = completion->written - NetHeader::kSize;
+    const u16 num_buffers =
+        mrg_active_ ? std::max<u16>(vhdr.num_buffers, 1) : u16{1};
+    RxFrame& meta =
+        num_buffers <= 1 ? ps.rx_backlog.emplace_slot() : ps.rx_partial_meta;
     meta.csum_valid = (vhdr.flags & NetHeader::kDataValid) != 0;
     meta.gso_type = vhdr.gso_type;
     meta.gso_size = vhdr.gso_size;
-    const u16 num_buffers =
-        mrg_active_ ? std::max<u16>(vhdr.num_buffers, 1) : u16{1};
+    Bytes& frame = num_buffers <= 1 ? meta.frame : ps.rx_partial;
+    frame.resize(frame_bytes);
+    memory.read(buf.addr + NetHeader::kSize, frame);
     if (num_buffers <= 1) {
-      meta.frame.assign(data.begin() + NetHeader::kSize, data.end());
       if (meta.gso_type != NetHeader::kGsoNone) {
         ++rx_gro_frames_;
       }
-      ps.rx_backlog.push_back(std::move(meta));
       ++rx_packets_;
       ++ps.rx_packets;
       frame_done = true;
     } else {
-      ps.rx_partial.assign(data.begin() + NetHeader::kSize, data.end());
       ps.rx_partial_remaining = static_cast<u16>(num_buffers - 1);
-      ps.rx_partial_meta = std::move(meta);
     }
   }
   ++ps.rx_harvest_seq;
@@ -781,15 +790,14 @@ void VirtioNetDriver::note_rx_wait(u16 pair, sim::Duration wait) {
   }
 }
 
-std::optional<VirtioNetDriver::RxFrame> VirtioNetDriver::pop_rx_frame(
-    u16 pair) {
+bool VirtioNetDriver::take_rx_frame(u16 pair, RxFrame& out) {
   PairState& ps = pair_state_.at(pair);
   if (ps.rx_backlog.empty()) {
-    return std::nullopt;
+    return false;
   }
-  RxFrame frame = std::move(ps.rx_backlog.front());
+  std::swap(out, ps.rx_backlog.front());
   ps.rx_backlog.pop_front();
-  return frame;
+  return true;
 }
 
 namespace {

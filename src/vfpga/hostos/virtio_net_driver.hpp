@@ -20,9 +20,9 @@
 // cost-model segments against the HostThread they run on.
 #pragma once
 
-#include <deque>
 #include <optional>
 
+#include "vfpga/common/fifo.hpp"
 #include "vfpga/hostos/virtio_transport.hpp"
 #include "vfpga/net/addr.hpp"
 
@@ -306,9 +306,12 @@ class VirtioNetDriver {
     u16 gso_size = 0;  ///< segment size the coalesced train used
   };
 
-  /// Pop one received frame from `pair`'s backlog (after napi_poll
-  /// queued it).
-  std::optional<RxFrame> pop_rx_frame(u16 pair = 0);
+  /// Move the oldest received frame in `pair`'s backlog (after
+  /// napi_poll queued it) into `out`; false when the backlog is empty.
+  /// The frame is swapped, not copied: the backlog slot keeps `out`'s
+  /// old buffer for a later frame, so a caller that reuses `out`
+  /// receives without allocating.
+  bool take_rx_frame(u16 pair, RxFrame& out);
   [[nodiscard]] bool rx_backlog_empty(u16 pair = 0) const {
     return pair_state_.at(pair).rx_backlog.empty();
   }
@@ -394,8 +397,10 @@ class VirtioNetDriver {
   struct PairState {
     std::vector<RxBuffer> rx_buffers;
     std::vector<TxBuffer> tx_buffers;
-    std::deque<u32> tx_free;
-    std::deque<RxFrame> rx_backlog;
+    Fifo<u32> tx_free;
+    /// Received frames awaiting the stack. Slots (and their frame
+    /// buffers) are reused, so steady-state RX allocates nothing.
+    Fifo<RxFrame> rx_backlog;
     u32 rx_vector = 0;
     u32 tx_vector = 0;
     u32 kick_retries = 0;
@@ -449,6 +454,9 @@ class VirtioNetDriver {
   HostAddr ctrl_ack_addr_ = 0;
 
   std::vector<PairState> pair_state_{1};
+  /// The zero-copy TX scatter-gather list being built, reused from frame
+  /// to frame (scratch, not snapshot state).
+  std::vector<virtio::ChainBuffer> tx_sg_;
   u32 rx_buffer_bytes_ = 12 + 1526;  ///< hdr + max frame
   DatapathOptions datapath_{};
   bool mrg_active_ = false;

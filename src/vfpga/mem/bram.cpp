@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
 #include "vfpga/common/contract.hpp"
 
@@ -15,13 +14,23 @@ Bram::Bram(u64 size_bytes, u32 width_bytes)
 }
 
 void Bram::read(FpgaAddr addr, ByteSpan out) const {
-  VFPGA_EXPECTS(addr + out.size() <= storage_.size());
-  std::memcpy(out.data(), storage_.data() + addr, out.size());
+  const ConstByteSpan src = span(addr, out.size());
+  std::copy(src.begin(), src.end(), out.begin());
 }
 
 void Bram::write(FpgaAddr addr, ConstByteSpan data) {
-  VFPGA_EXPECTS(addr + data.size() <= storage_.size());
-  std::memcpy(storage_.data() + addr, data.data(), data.size());
+  const ByteSpan dst = span(addr, data.size());
+  std::copy(data.begin(), data.end(), dst.begin());
+}
+
+ByteSpan Bram::span(FpgaAddr addr, u64 bytes) {
+  VFPGA_EXPECTS(addr <= storage_.size() && bytes <= storage_.size() - addr);
+  return ByteSpan{storage_}.subspan(addr, bytes);
+}
+
+ConstByteSpan Bram::span(FpgaAddr addr, u64 bytes) const {
+  VFPGA_EXPECTS(addr <= storage_.size() && bytes <= storage_.size() - addr);
+  return ConstByteSpan{storage_}.subspan(addr, bytes);
 }
 
 u8 Bram::read_u8(FpgaAddr addr) const {
@@ -36,9 +45,11 @@ u32 Bram::read_le32(FpgaAddr addr) const {
 }
 
 void Bram::write_le32(FpgaAddr addr, u32 v) {
-  std::array<u8, 4> buf{};
-  store_le32(buf, 0, v);
-  write(addr, buf);
+  store_le32(span(addr, 4), 0, v);
+}
+
+void Bram::write_le16(FpgaAddr addr, u16 v) {
+  store_le16(span(addr, 2), 0, v);
 }
 
 }  // namespace vfpga::mem

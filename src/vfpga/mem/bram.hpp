@@ -24,9 +24,18 @@ class Bram {
   void read(FpgaAddr addr, ByteSpan out) const;
   void write(FpgaAddr addr, ConstByteSpan data);
 
+  /// Bounds-checked views of [addr, addr + bytes): the DMA engine
+  /// streams host memory straight into (or out of) them, and user logic
+  /// reads staged payloads through them, with no intermediate copy. A
+  /// view is a window onto the live storage — a later write() to the
+  /// range changes what it shows.
+  [[nodiscard]] ByteSpan span(FpgaAddr addr, u64 bytes);
+  [[nodiscard]] ConstByteSpan span(FpgaAddr addr, u64 bytes) const;
+
   [[nodiscard]] u8 read_u8(FpgaAddr addr) const;
   [[nodiscard]] u32 read_le32(FpgaAddr addr) const;
   void write_le32(FpgaAddr addr, u32 v);
+  void write_le16(FpgaAddr addr, u16 v);
 
   /// Beats (bus cycles) to stream `bytes` through the BRAM port.
   [[nodiscard]] u64 beats_for(u64 bytes) const {

@@ -7,20 +7,24 @@
 
 namespace vfpga::net {
 
-Bytes build_arp_message(const ArpMessage& message) {
-  Bytes out(ArpMessage::kSize, 0);
-  ByteSpan s{out};
-  store_be16(s, 0, 1);       // HTYPE: Ethernet
-  store_be16(s, 2, 0x0800);  // PTYPE: IPv4
-  out[4] = 6;                // HLEN
-  out[5] = 4;                // PLEN
-  store_be16(s, 6, static_cast<u16>(message.op));
+void write_arp_message(ByteSpan out, const ArpMessage& message) {
+  VFPGA_EXPECTS(out.size() >= ArpMessage::kSize);
+  store_be16(out, 0, 1);       // HTYPE: Ethernet
+  store_be16(out, 2, 0x0800);  // PTYPE: IPv4
+  out[4] = 6;                  // HLEN
+  out[5] = 4;                  // PLEN
+  store_be16(out, 6, static_cast<u16>(message.op));
   std::copy(message.sender_mac.octets.begin(),
             message.sender_mac.octets.end(), out.begin() + 8);
-  store_be32(s, 14, message.sender_ip.value);
+  store_be32(out, 14, message.sender_ip.value);
   std::copy(message.target_mac.octets.begin(),
             message.target_mac.octets.end(), out.begin() + 18);
-  store_be32(s, 24, message.target_ip.value);
+  store_be32(out, 24, message.target_ip.value);
+}
+
+Bytes build_arp_message(const ArpMessage& message) {
+  Bytes out(ArpMessage::kSize);
+  write_arp_message(out, message);
   return out;
 }
 

@@ -29,6 +29,8 @@ struct ArpMessage {
   static constexpr u64 kSize = 28;  ///< Ethernet/IPv4 ARP body
 };
 
+/// Write the 28-byte body at the front of `out`.
+void write_arp_message(ByteSpan out, const ArpMessage& message);
 [[nodiscard]] Bytes build_arp_message(const ArpMessage& message);
 [[nodiscard]] std::optional<ArpMessage> parse_arp_message(ConstByteSpan data);
 

@@ -7,16 +7,20 @@
 
 namespace vfpga::net {
 
+void write_ethernet_header(ByteSpan out, const EthernetHeader& header) {
+  VFPGA_EXPECTS(out.size() >= EthernetHeader::kSize);
+  std::copy(header.dst.octets.begin(), header.dst.octets.end(), out.begin());
+  std::copy(header.src.octets.begin(), header.src.octets.end(),
+            out.begin() + 6);
+  store_be16(out, 12, static_cast<u16>(header.type));
+}
+
 Bytes build_ethernet_frame(const EthernetHeader& header,
                            ConstByteSpan payload) {
   const u64 payload_len =
       std::max<u64>(payload.size(), kMinEthernetPayload);
   Bytes frame(EthernetHeader::kSize + payload_len, 0);
-  ByteSpan s{frame};
-  std::copy(header.dst.octets.begin(), header.dst.octets.end(), frame.begin());
-  std::copy(header.src.octets.begin(), header.src.octets.end(),
-            frame.begin() + 6);
-  store_be16(s, 12, static_cast<u16>(header.type));
+  write_ethernet_header(frame, header);
   std::copy(payload.begin(), payload.end(),
             frame.begin() + EthernetHeader::kSize);
   return frame;

@@ -8,17 +8,22 @@
 
 namespace vfpga::net {
 
-Bytes build_icmp_echo(const IcmpEcho& echo, ConstByteSpan payload) {
-  Bytes message(IcmpEcho::kHeaderSize + payload.size(), 0);
-  ByteSpan s{message};
-  message[0] = static_cast<u8>(echo.type);
-  message[1] = 0;  // code
-  // checksum (bytes 2-3) computed over the whole message below
-  store_be16(s, 4, echo.identifier);
-  store_be16(s, 6, echo.sequence);
+void write_icmp_echo(ByteSpan out, const IcmpEcho& echo,
+                     ConstByteSpan payload) {
+  VFPGA_EXPECTS(out.size() == IcmpEcho::kHeaderSize + payload.size());
+  out[0] = static_cast<u8>(echo.type);
+  out[1] = 0;  // code
+  store_be16(out, 2, 0);  // checksum, computed over the message below
+  store_be16(out, 4, echo.identifier);
+  store_be16(out, 6, echo.sequence);
   std::copy(payload.begin(), payload.end(),
-            message.begin() + IcmpEcho::kHeaderSize);
-  store_be16(s, 2, internet_checksum(message));
+            out.begin() + IcmpEcho::kHeaderSize);
+  store_be16(out, 2, internet_checksum(out));
+}
+
+Bytes build_icmp_echo(const IcmpEcho& echo, ConstByteSpan payload) {
+  Bytes message(IcmpEcho::kHeaderSize + payload.size());
+  write_icmp_echo(message, echo, payload);
   return message;
 }
 

@@ -22,6 +22,12 @@ struct IcmpEcho {
   static constexpr u64 kHeaderSize = 8;
 };
 
+/// Write an echo request/reply into `out` (exactly kHeaderSize +
+/// payload.size() bytes; `payload` must not overlap it), checksum
+/// included.
+void write_icmp_echo(ByteSpan out, const IcmpEcho& echo,
+                     ConstByteSpan payload);
+
 /// Build an echo request/reply with a valid ICMP checksum.
 [[nodiscard]] Bytes build_icmp_echo(const IcmpEcho& echo,
                                     ConstByteSpan payload);

@@ -8,28 +8,27 @@
 
 namespace vfpga::net {
 
+void write_ipv4_header(ByteSpan out, const Ipv4Header& header) {
+  VFPGA_EXPECTS(out.size() >= Ipv4Header::kSize);
+  out[0] = 0x45;  // version 4, IHL 5
+  out[1] = 0x00;  // DSCP/ECN
+  store_be16(out, 2, header.total_length);
+  store_be16(out, 4, header.identification);
+  store_be16(out, 6, 0x4000);  // flags: DF, fragment offset 0
+  out[8] = header.ttl;
+  out[9] = static_cast<u8>(header.protocol);
+  store_be16(out, 10, 0);  // checksum, computed over the header below
+  store_be32(out, 12, header.src.value);
+  store_be32(out, 16, header.dst.value);
+  store_be16(out, 10, internet_checksum(out.first(Ipv4Header::kSize)));
+}
+
 Bytes build_ipv4_packet(Ipv4Header header, ConstByteSpan payload) {
   const u64 total = Ipv4Header::kSize + payload.size();
   VFPGA_EXPECTS(total <= 0xffff);
   header.total_length = static_cast<u16>(total);
-
-  Bytes packet(total, 0);
-  ByteSpan s{packet};
-  packet[0] = 0x45;  // version 4, IHL 5
-  packet[1] = 0x00;  // DSCP/ECN
-  store_be16(s, 2, header.total_length);
-  store_be16(s, 4, header.identification);
-  store_be16(s, 6, 0x4000);  // flags: DF, fragment offset 0
-  packet[8] = header.ttl;
-  packet[9] = static_cast<u8>(header.protocol);
-  // checksum (bytes 10-11) computed below
-  store_be32(s, 12, header.src.value);
-  store_be32(s, 16, header.dst.value);
-
-  const u16 csum = internet_checksum(
-      ConstByteSpan{packet}.first(Ipv4Header::kSize));
-  store_be16(s, 10, csum);
-
+  Bytes packet(total);
+  write_ipv4_header(packet, header);
   std::copy(payload.begin(), payload.end(),
             packet.begin() + Ipv4Header::kSize);
   return packet;

@@ -24,6 +24,10 @@ struct Ipv4Header {
   static constexpr u64 kSize = 20;  ///< no options in this stack
 };
 
+/// Write the 20-byte header at the front of `out` for a packet of
+/// `header.total_length` bytes, header checksum included.
+void write_ipv4_header(ByteSpan out, const Ipv4Header& header);
+
 /// Build header + payload with a valid header checksum.
 [[nodiscard]] Bytes build_ipv4_packet(Ipv4Header header, ConstByteSpan payload);
 

@@ -30,24 +30,30 @@ u16 udp_checksum(ConstByteSpan datagram, Ipv4Addr src, Ipv4Addr dst) {
 
 }  // namespace
 
-Bytes build_udp_datagram(const UdpHeader& header, Ipv4Addr src, Ipv4Addr dst,
-                         ConstByteSpan payload) {
+void write_udp_datagram(ByteSpan out, const UdpHeader& header, Ipv4Addr src,
+                        Ipv4Addr dst, ConstByteSpan payload, bool checksum) {
   const u64 total = UdpHeader::kSize + payload.size();
   VFPGA_EXPECTS(total <= 0xffff);
-  Bytes datagram(total, 0);
-  ByteSpan s{datagram};
-  store_be16(s, 0, header.src_port);
-  store_be16(s, 2, header.dst_port);
-  store_be16(s, 4, static_cast<u16>(total));
-  store_be16(s, 6, 0);  // checksum placeholder
-  std::copy(payload.begin(), payload.end(),
-            datagram.begin() + UdpHeader::kSize);
-  store_be16(s, 6, udp_checksum(datagram, src, dst));
+  VFPGA_EXPECTS(out.size() == total);
+  store_be16(out, 0, header.src_port);
+  store_be16(out, 2, header.dst_port);
+  store_be16(out, 4, static_cast<u16>(total));
+  store_be16(out, 6, 0);  // checksum placeholder
+  std::copy(payload.begin(), payload.end(), out.begin() + UdpHeader::kSize);
+  if (checksum) {
+    store_be16(out, 6, udp_checksum(out, src, dst));
+  }
+}
+
+Bytes build_udp_datagram(const UdpHeader& header, Ipv4Addr src, Ipv4Addr dst,
+                         ConstByteSpan payload) {
+  Bytes datagram(UdpHeader::kSize + payload.size());
+  write_udp_datagram(datagram, header, src, dst, payload, /*checksum=*/true);
   return datagram;
 }
 
 std::optional<ParsedUdp> parse_udp_datagram(ConstByteSpan data, Ipv4Addr src,
-                                            Ipv4Addr dst) {
+                                            Ipv4Addr dst, bool verify) {
   if (data.size() < UdpHeader::kSize) {
     return std::nullopt;
   }
@@ -62,7 +68,9 @@ std::optional<ParsedUdp> parse_udp_datagram(ConstByteSpan data, Ipv4Addr src,
   out.payload_length = static_cast<u64>(length) - UdpHeader::kSize;
 
   const u16 wire_csum = load_be16(data, 6);
-  if (wire_csum == 0) {
+  if (!verify) {
+    out.checksum_ok = false;
+  } else if (wire_csum == 0) {
     out.checksum_ok = true;  // checksum not used by sender
   } else {
     // Verify in place: the pseudo-header plus the datagram, checksum

@@ -15,6 +15,13 @@ struct UdpHeader {
   static constexpr u64 kSize = 8;
 };
 
+/// Write header + payload into `out` (exactly kSize + payload.size()
+/// bytes; `payload` must not overlap it). With `checksum` the
+/// pseudo-header checksum is computed over the datagram; without it the
+/// field stays 0 for a checksum-offloading device to complete.
+void write_udp_datagram(ByteSpan out, const UdpHeader& header, Ipv4Addr src,
+                        Ipv4Addr dst, ConstByteSpan payload, bool checksum);
+
 /// Build header + payload with the pseudo-header checksum computed over
 /// (src, dst, protocol, length) as the receiving stack will verify it.
 [[nodiscard]] Bytes build_udp_datagram(const UdpHeader& header, Ipv4Addr src,
@@ -28,10 +35,12 @@ struct ParsedUdp {
 };
 
 /// Parse a datagram; the pseudo-header addresses must come from the
-/// enclosing IPv4 header.
+/// enclosing IPv4 header. Without `verify` the checksum is not summed
+/// and checksum_ok stays false (for a caller that just computed it).
 [[nodiscard]] std::optional<ParsedUdp> parse_udp_datagram(ConstByteSpan data,
                                                           Ipv4Addr src,
-                                                          Ipv4Addr dst);
+                                                          Ipv4Addr dst,
+                                                          bool verify = true);
 
 /// Recompute the checksum field in place (what checksum-offload hardware
 /// does when VIRTIO_NET_F_CSUM hands it a partially-checksummed frame).

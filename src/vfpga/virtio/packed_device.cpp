@@ -18,15 +18,6 @@ namespace {
 /// cacheline of the descriptor ring.
 constexpr u16 kDescFetchWindow = 4;
 
-pk::PackedDescriptor decode(ConstByteSpan raw) {
-  VFPGA_EXPECTS(raw.size() >= pk::kDescSize);
-  pk::PackedDescriptor d;
-  d.addr = load_le64(raw, pk::kDescAddrOffset);
-  d.len = load_le32(raw, pk::kDescLenOffset);
-  d.id = load_le16(raw, pk::kDescIdOffset);
-  d.desc_flags = load_le16(raw, pk::kDescFlagsOffset);
-  return d;
-}
 
 }  // namespace
 
@@ -48,7 +39,7 @@ virtio::Timed<bool> PackedVirtqueueDevice::peek_available(sim::SimTime start) {
   std::array<u8, pk::kDescSize> raw{};
   const sim::SimTime done = port_.read(
       start, addrs_.desc + pk::desc_offset(avail_cursor_), raw);
-  const pk::PackedDescriptor desc = decode(raw);
+  const pk::PackedDescriptor desc = pk::decode_descriptor(raw);
   const bool available = pk::is_available(desc.desc_flags, avail_wrap_);
   if (available) {
     cached_head_ = desc;
@@ -58,10 +49,14 @@ virtio::Timed<bool> PackedVirtqueueDevice::peek_available(sim::SimTime start) {
   return virtio::Timed<bool>{available, done};
 }
 
-virtio::Timed<PackedVirtqueueDevice::Chain>
-PackedVirtqueueDevice::consume_chain(sim::SimTime start) {
+sim::SimTime PackedVirtqueueDevice::consume_chain(sim::SimTime start,
+                                                  Chain& chain) {
   VFPGA_EXPECTS(cached_head_.has_value());
-  Chain chain;
+  chain.id = 0;
+  chain.descriptor_count = 0;
+  chain.via_indirect = false;
+  chain.error = false;
+  chain.descriptors.clear();
   sim::SimTime t = start;
   pk::PackedDescriptor current = *cached_head_;
   cached_head_.reset();
@@ -71,7 +66,8 @@ PackedVirtqueueDevice::consume_chain(sim::SimTime start) {
   // descriptors a cacheline at a time instead of one dependent read per
   // slot. The head was already read by peek_available, so
   // one-descriptor chains see an unchanged transaction stream.
-  Bytes window;
+  std::array<u8, kDescFetchWindow * pk::kDescSize> window{};
+  std::size_t window_bytes = 0;
   std::size_t window_pos = 0;
 
   for (u16 guard = 0; guard < queue_size_; ++guard) {
@@ -93,14 +89,13 @@ PackedVirtqueueDevice::consume_chain(sim::SimTime start) {
           (current.desc_flags & pk::flags::kNext) != 0 || len == 0 ||
           len % pk::kDescSize != 0 || len / pk::kDescSize > queue_size_) {
         chain.error = true;
-        return virtio::Timed<Chain>{std::move(chain), t};
+        return t;
       }
-      Bytes raw(len);
-      t = port_.read(t, current.addr, raw);
-      const u16 count = static_cast<u16>(len / pk::kDescSize);
-      for (u16 i = 0; i < count; ++i) {
-        const pk::PackedDescriptor entry = decode(ConstByteSpan{raw}.subspan(
-            static_cast<std::size_t>(i) * pk::kDescSize));
+      raw_.resize(len);
+      t = port_.read(t, current.addr, raw_);
+      for (u32 off = 0; off < len; off += pk::kDescSize) {
+        const pk::PackedDescriptor entry =
+            pk::decode_descriptor(ConstByteSpan{raw_}.subspan(off));
         Descriptor view;
         view.addr = entry.addr;
         view.len = entry.len;
@@ -109,7 +104,7 @@ PackedVirtqueueDevice::consume_chain(sim::SimTime start) {
                          : u16{0};
         chain.descriptors.push_back(view);
       }
-      return virtio::Timed<Chain>{std::move(chain), t};
+      return t;
     }
     Descriptor view;
     view.addr = current.addr;
@@ -126,24 +121,32 @@ PackedVirtqueueDevice::consume_chain(sim::SimTime start) {
       avail_wrap_ = !avail_wrap_;
     }
     if ((current.desc_flags & pk::flags::kNext) == 0) {
-      return virtio::Timed<Chain>{std::move(chain), t};
+      return t;
     }
     // Chains occupy consecutive slots: fetch the continuation, pulling
     // a fresh window when the previous one is exhausted (windows never
     // span the ring-wrap boundary).
-    if (window_pos >= window.size()) {
+    if (window_pos >= window_bytes) {
       const u16 count = std::min<u16>(
           kDescFetchWindow, static_cast<u16>(queue_size_ - avail_cursor_));
-      window.resize(static_cast<std::size_t>(count) * pk::kDescSize);
+      window_bytes = static_cast<std::size_t>(count) * pk::kDescSize;
       t = port_.read(t, addrs_.desc + pk::desc_offset(avail_cursor_),
-                     ByteSpan{window});
+                     ByteSpan{window}.first(window_bytes));
       window_pos = 0;
     }
-    current = decode(ConstByteSpan{window}.subspan(window_pos));
+    current =
+        pk::decode_descriptor(ConstByteSpan{window}.subspan(window_pos));
     window_pos += pk::kDescSize;
   }
   chain.error = true;  // chain longer than the queue: corrupted ring
-  return virtio::Timed<Chain>{std::move(chain), t};
+  return t;
+}
+
+virtio::Timed<PackedVirtqueueDevice::Chain>
+PackedVirtqueueDevice::consume_chain(sim::SimTime start) {
+  Chain chain;
+  const sim::SimTime done = consume_chain(start, chain);
+  return virtio::Timed<Chain>{std::move(chain), done};
 }
 
 pcie::DmaPort::WriteTiming PackedVirtqueueDevice::push_used(

@@ -52,6 +52,9 @@ class PackedVirtqueueDevice {
     bool error = false;
     std::vector<Descriptor> descriptors;  ///< format-independent view
   };
+  /// In-place form: `chain` is overwritten and its descriptor storage
+  /// reused. Returns the completion time.
+  sim::SimTime consume_chain(sim::SimTime start, Chain& chain);
   virtio::Timed<Chain> consume_chain(sim::SimTime start);
 
   /// Complete a chain: one posted 16-byte descriptor write with the
@@ -83,6 +86,9 @@ class PackedVirtqueueDevice {
   u16 used_cursor_ = 0;
   bool used_wrap_ = true;
   std::optional<packed::PackedDescriptor> cached_head_;
+  /// Raw bytes of the last indirect-table read, reused from read to
+  /// read (scratch, not snapshot state).
+  Bytes raw_;
 };
 
 }  // namespace vfpga::virtio

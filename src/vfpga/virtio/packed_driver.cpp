@@ -46,12 +46,8 @@ std::optional<u16> PackedVirtqueueDriver::add_chain(
   bool wrap = avail_wrap_;
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     const ChainBuffer& b = buffers[i];
-    const HostAddr entry = addrs_.desc + pk::desc_offset(slot);
-    memory_->write_le64(entry + pk::kDescAddrOffset, b.addr);
-    memory_->write_le32(entry + pk::kDescLenOffset, b.len);
     // §2.8.6: the buffer ID is required only in the last descriptor of
     // the chain; writing it everywhere is permitted and simpler.
-    memory_->write_le16(entry + pk::kDescIdOffset, id);
     u16 desc_flags = pk::avail_flags(wrap);
     if (b.device_writable) {
       desc_flags |= pk::flags::kWrite;
@@ -61,8 +57,9 @@ std::optional<u16> PackedVirtqueueDriver::add_chain(
     }
     // In a real implementation the head descriptor's flags are written
     // last with a release barrier; the functional simulation's publish
-    // point is this store sequence as a whole.
-    memory_->write_le16(entry + pk::kDescFlagsOffset, desc_flags);
+    // point is this one 16-byte store.
+    memory_->write(addrs_.desc + pk::desc_offset(slot),
+                   pk::encode_descriptor({b.addr, b.len, id, desc_flags}));
 
     ++slot;
     if (slot == queue_size_) {
@@ -101,24 +98,20 @@ std::optional<u16> PackedVirtqueueDriver::add_chain_indirect(
   const HostAddr table = indirect_table_[id];
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     const ChainBuffer& b = buffers[i];
-    const HostAddr entry = table + pk::kDescSize * i;
-    memory_->write_le64(entry + pk::kDescAddrOffset, b.addr);
-    memory_->write_le32(entry + pk::kDescLenOffset, b.len);
     // §2.8.8: WRITE is the only flag valid inside an indirect table;
     // the id field of table entries is reserved.
-    memory_->write_le16(entry + pk::kDescIdOffset, 0);
-    memory_->write_le16(entry + pk::kDescFlagsOffset,
-                        b.device_writable ? pk::flags::kWrite : u16{0});
+    memory_->write(table + pk::kDescSize * i,
+                   pk::encode_descriptor(
+                       {b.addr, b.len, 0,
+                        b.device_writable ? pk::flags::kWrite : u16{0}}));
   }
 
-  const HostAddr entry = addrs_.desc + pk::desc_offset(next_avail_slot_);
-  memory_->write_le64(entry + pk::kDescAddrOffset, table);
-  memory_->write_le32(entry + pk::kDescLenOffset,
-                      static_cast<u32>(pk::kDescSize * buffers.size()));
-  memory_->write_le16(entry + pk::kDescIdOffset, id);
-  memory_->write_le16(entry + pk::kDescFlagsOffset,
+  memory_->write(addrs_.desc + pk::desc_offset(next_avail_slot_),
+                 pk::encode_descriptor(
+                     {table, static_cast<u32>(pk::kDescSize * buffers.size()),
+                      id,
                       static_cast<u16>(pk::avail_flags(avail_wrap_) |
-                                       pk::flags::kIndirect));
+                                       pk::flags::kIndirect)}));
   ++next_avail_slot_;
   if (next_avail_slot_ == queue_size_) {
     next_avail_slot_ = 0;
@@ -154,9 +147,11 @@ std::optional<DriverRing::Completion> PackedVirtqueueDriver::harvest() {
   if (!used_pending()) {
     return std::nullopt;
   }
-  const HostAddr entry = addrs_.desc + pk::desc_offset(next_used_slot_);
-  const u16 id = memory_->read_le16(entry + pk::kDescIdOffset);
-  const u32 written = memory_->read_le32(entry + pk::kDescLenOffset);
+  std::array<u8, pk::kDescSize> raw{};
+  memory_->read(addrs_.desc + pk::desc_offset(next_used_slot_), raw);
+  const pk::PackedDescriptor used = pk::decode_descriptor(raw);
+  const u16 id = used.id;
+  const u32 written = used.len;
   if (id >= queue_size_) {
     // Corrupt completion descriptor: refuse it and mark the ring broken
     // so the driver escalates to a device reset.

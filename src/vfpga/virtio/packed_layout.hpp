@@ -21,6 +21,9 @@
 // this library's extension, measured in bench/ablation_ring_format.
 #pragma once
 
+#include <array>
+
+#include "vfpga/common/endian.hpp"
 #include "vfpga/common/types.hpp"
 
 namespace vfpga::virtio::packed {
@@ -93,5 +96,23 @@ struct PackedDescriptor {
   u16 id = 0;
   u16 desc_flags = 0;
 };
+
+/// A descriptor's 16 wire bytes, so each side moves it as one access.
+inline std::array<u8, kDescSize> encode_descriptor(const PackedDescriptor& d) {
+  std::array<u8, kDescSize> raw{};
+  store_le64(raw, kDescAddrOffset, d.addr);
+  store_le32(raw, kDescLenOffset, d.len);
+  store_le16(raw, kDescIdOffset, d.id);
+  store_le16(raw, kDescFlagsOffset, d.desc_flags);
+  return raw;
+}
+[[nodiscard]] inline PackedDescriptor decode_descriptor(ConstByteSpan raw) {
+  PackedDescriptor d;
+  d.addr = load_le64(raw, kDescAddrOffset);
+  d.len = load_le32(raw, kDescLenOffset);
+  d.id = load_le16(raw, kDescIdOffset);
+  d.desc_flags = load_le16(raw, kDescFlagsOffset);
+  return d;
+}
 
 }  // namespace vfpga::virtio::packed

@@ -12,6 +12,9 @@
 //   struct virtq_used  { le16 flags; le16 idx; used_elem ring[N]; le16 avail_event; }
 #pragma once
 
+#include <array>
+
+#include "vfpga/common/endian.hpp"
 #include "vfpga/common/types.hpp"
 
 namespace vfpga::virtio {
@@ -77,6 +80,24 @@ struct Descriptor {
   u16 flags = 0;
   u16 next = 0;
 };
+
+/// A descriptor's 16 wire bytes, so each side moves it as one access.
+inline std::array<u8, kDescSize> encode_descriptor(const Descriptor& d) {
+  std::array<u8, kDescSize> raw{};
+  store_le64(raw, kDescAddrOffset, d.addr);
+  store_le32(raw, kDescLenOffset, d.len);
+  store_le16(raw, kDescFlagsOffset, d.flags);
+  store_le16(raw, kDescNextOffset, d.next);
+  return raw;
+}
+[[nodiscard]] inline Descriptor decode_descriptor(ConstByteSpan raw) {
+  Descriptor d;
+  d.addr = load_le64(raw, kDescAddrOffset);
+  d.len = load_le32(raw, kDescLenOffset);
+  d.flags = load_le16(raw, kDescFlagsOffset);
+  d.next = load_le16(raw, kDescNextOffset);
+  return d;
+}
 
 /// One used-ring element, decoded.
 struct UsedElem {

@@ -15,16 +15,6 @@ namespace {
 /// cacheline of the descriptor table.
 constexpr u16 kDescFetchWindow = 4;
 
-Descriptor decode_descriptor(ConstByteSpan raw) {
-  VFPGA_EXPECTS(raw.size() >= kDescSize);
-  Descriptor d;
-  d.addr = load_le64(raw, kDescAddrOffset);
-  d.len = load_le32(raw, kDescLenOffset);
-  d.flags = load_le16(raw, kDescFlagsOffset);
-  d.next = load_le16(raw, kDescNextOffset);
-  return d;
-}
-
 }  // namespace
 
 void VirtqueueDevice::configure(const RingAddresses& addrs, u16 queue_size,
@@ -69,26 +59,33 @@ Timed<Descriptor> VirtqueueDevice::fetch_descriptor(u16 index,
   return Timed<Descriptor>{decode_descriptor(raw), done};
 }
 
+sim::SimTime VirtqueueDevice::fetch_descriptors(u16 first,
+                                                std::span<Descriptor> out,
+                                                sim::SimTime start) const {
+  VFPGA_EXPECTS(configured());
+  VFPGA_EXPECTS(!out.empty());
+  VFPGA_EXPECTS(first + out.size() <= queue_size_);
+  raw_.resize(kDescSize * out.size());
+  const sim::SimTime done =
+      port_.read(start, addrs_.desc + desc_offset(first), raw_);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = decode_descriptor(ConstByteSpan{raw_}.subspan(i * kDescSize));
+  }
+  return done;
+}
+
 Timed<std::vector<Descriptor>> VirtqueueDevice::fetch_descriptors(
     u16 first, u16 count, sim::SimTime start) const {
-  VFPGA_EXPECTS(configured());
-  VFPGA_EXPECTS(count >= 1);
-  VFPGA_EXPECTS(first + count <= queue_size_);
-  Bytes raw(kDescSize * count);
-  const sim::SimTime done =
-      port_.read(start, addrs_.desc + desc_offset(first), raw);
-  std::vector<Descriptor> out;
-  out.reserve(count);
-  for (u16 i = 0; i < count; ++i) {
-    out.push_back(decode_descriptor(
-        ConstByteSpan{raw}.subspan(static_cast<std::size_t>(i) * kDescSize)));
-  }
+  std::vector<Descriptor> out(count);
+  const sim::SimTime done = fetch_descriptors(first, out, start);
   return Timed<std::vector<Descriptor>>{std::move(out), done};
 }
 
-Timed<ChainFetch> VirtqueueDevice::fetch_chain(u16 head,
-                                               sim::SimTime start) const {
-  ChainFetch out;
+sim::SimTime VirtqueueDevice::fetch_chain(u16 head, sim::SimTime start,
+                                          ChainFetch& out) const {
+  out.descriptors.clear();
+  out.via_indirect = false;
+  out.error = false;
   sim::SimTime t = start;
   u16 index = head;
   // Speculative window for chain continuations: free-list drivers lay
@@ -96,31 +93,30 @@ Timed<ChainFetch> VirtqueueDevice::fetch_chain(u16 head,
   // fetches the next descriptors a cacheline at a time instead of one
   // dependent read per entry. The head is always a single-descriptor
   // read, so one-descriptor chains see an unchanged transaction stream.
-  std::vector<Descriptor> window;
+  std::array<Descriptor, kDescFetchWindow> window{};
+  u16 window_size = 0;
   u16 window_first = 0;
   // A conformant driver never builds a chain longer than the queue; a
   // longer walk means the table is corrupt (or loops) and the FSM bails
   // with the error flag rather than spinning forever.
   for (u16 guard = 0; guard < queue_size_; ++guard) {
-    Timed<Descriptor> fetched{Descriptor{}, t};
-    const bool in_window =
-        !window.empty() && index >= window_first &&
-        static_cast<std::size_t>(index - window_first) < window.size();
+    Descriptor fetched;
+    const bool in_window = window_size > 0 && index >= window_first &&
+                           index - window_first < window_size;
     if (in_window) {
-      fetched.value = window[static_cast<std::size_t>(index - window_first)];
+      fetched = window[static_cast<std::size_t>(index - window_first)];
     } else if (guard == 0) {
-      fetched = fetch_descriptor(index, t);
-      t = fetched.done;
+      const auto single = fetch_descriptor(index, t);
+      t = single.done;
+      fetched = single.value;
     } else {
-      const u16 count = std::min<u16>(
-          kDescFetchWindow, static_cast<u16>(queue_size_ - index));
-      auto burst = fetch_descriptors(index, count, t);
-      t = burst.done;
-      window = std::move(burst.value);
+      window_size = std::min<u16>(kDescFetchWindow,
+                                  static_cast<u16>(queue_size_ - index));
+      t = fetch_descriptors(index, std::span{window}.first(window_size), t);
       window_first = index;
-      fetched.value = window.front();
+      fetched = window.front();
     }
-    if ((fetched.value.flags & descflags::kIndirect) != 0) {
+    if ((fetched.flags & descflags::kIndirect) != 0) {
       // §2.7.5.3: the descriptor points at a table of descriptors; the
       // whole table arrives in one DMA read. An indirect descriptor is
       // never chained, its length must be a whole number of descriptor
@@ -128,29 +124,35 @@ Timed<ChainFetch> VirtqueueDevice::fetch_chain(u16 head,
       // table entries use table-relative `next` indices, which for our
       // drivers are laid out sequentially.
       out.via_indirect = true;
-      const u32 len = fetched.value.len;
+      const u32 len = fetched.len;
       if (!out.descriptors.empty() || len == 0 || len % kDescSize != 0 ||
           len / kDescSize > queue_size_) {
         out.error = true;
-        return Timed<ChainFetch>{std::move(out), t};
+        return t;
       }
-      const u16 count = static_cast<u16>(len / kDescSize);
-      Bytes raw(len);
-      t = port_.read(t, fetched.value.addr, raw);
-      for (u16 i = 0; i < count; ++i) {
-        out.descriptors.push_back(decode_descriptor(ConstByteSpan{raw}.subspan(
-            static_cast<std::size_t>(i) * kDescSize)));
+      raw_.resize(len);
+      t = port_.read(t, fetched.addr, raw_);
+      for (u32 off = 0; off < len; off += kDescSize) {
+        out.descriptors.push_back(
+            decode_descriptor(ConstByteSpan{raw_}.subspan(off)));
       }
-      return Timed<ChainFetch>{std::move(out), t};
+      return t;
     }
-    out.descriptors.push_back(fetched.value);
-    if ((fetched.value.flags & descflags::kNext) == 0) {
-      return Timed<ChainFetch>{std::move(out), t};
+    out.descriptors.push_back(fetched);
+    if ((fetched.flags & descflags::kNext) == 0) {
+      return t;
     }
-    index = fetched.value.next;
+    index = fetched.next;
   }
   out.error = true;  // chain longer than the queue: corrupted table
-  return Timed<ChainFetch>{std::move(out), t};
+  return t;
+}
+
+Timed<ChainFetch> VirtqueueDevice::fetch_chain(u16 head,
+                                               sim::SimTime start) const {
+  ChainFetch out;
+  const sim::SimTime done = fetch_chain(head, start, out);
+  return Timed<ChainFetch>{std::move(out), done};
 }
 
 sim::SimTime VirtqueueDevice::gather_payload(std::span<const Descriptor> chain,

@@ -66,15 +66,25 @@ class VirtqueueDevice {
   /// DMA-read one descriptor.
   Timed<Descriptor> fetch_descriptor(u16 index, sim::SimTime start) const;
 
-  /// DMA-read `count` consecutive descriptors in a single burst — what a
-  /// controller that speculatively fetches the whole table slice does.
+  /// DMA-read `out.size()` consecutive descriptors starting at `first`
+  /// in a single burst — what a controller that speculatively fetches
+  /// the whole table slice does. Returns the completion time.
+  sim::SimTime fetch_descriptors(u16 first, std::span<Descriptor> out,
+                                 sim::SimTime start) const;
+  /// Allocating convenience form of the above.
   Timed<std::vector<Descriptor>> fetch_descriptors(u16 first, u16 count,
                                                    sim::SimTime start) const;
 
   /// Walk a chain starting at `head`, one DMA read per descriptor
   /// (the paper controller's behaviour); an INDIRECT head instead
   /// fetches its whole table in one read. Malformed structure is
-  /// reported via ChainFetch::error, never asserted.
+  /// reported via ChainFetch::error, never asserted. `out` is
+  /// overwritten; its descriptor storage is reused, so a walk into a
+  /// warmed-up ChainFetch allocates nothing. Returns the completion
+  /// time.
+  sim::SimTime fetch_chain(u16 head, sim::SimTime start,
+                           ChainFetch& out) const;
+  /// Allocating convenience form of the above.
   Timed<ChainFetch> fetch_chain(u16 head, sim::SimTime start) const;
 
   /// DMA the contents of a device-readable chain out of host memory.
@@ -120,6 +130,9 @@ class VirtqueueDevice {
   FeatureSet negotiated_{};
   u16 avail_cursor_ = 0;  ///< next avail position to consume
   u16 used_idx_ = 0;      ///< next used idx to publish
+  /// Raw bytes of the last burst or indirect-table read, reused from
+  /// read to read (scratch, not snapshot state).
+  mutable Bytes raw_;
 };
 
 }  // namespace vfpga::virtio

@@ -41,22 +41,14 @@ VirtqueueDriver::VirtqueueDriver(mem::HostMemory& memory, u16 queue_size,
 
 void VirtqueueDriver::write_descriptor(u16 index, const Descriptor& desc) {
   VFPGA_EXPECTS(index < queue_size_);
-  const HostAddr base = addrs_.desc + desc_offset(index);
-  memory_->write_le64(base + kDescAddrOffset, desc.addr);
-  memory_->write_le32(base + kDescLenOffset, desc.len);
-  memory_->write_le16(base + kDescFlagsOffset, desc.flags);
-  memory_->write_le16(base + kDescNextOffset, desc.next);
+  memory_->write(addrs_.desc + desc_offset(index), encode_descriptor(desc));
 }
 
 Descriptor VirtqueueDriver::read_descriptor(u16 index) const {
   VFPGA_EXPECTS(index < queue_size_);
-  const HostAddr base = addrs_.desc + desc_offset(index);
-  Descriptor d;
-  d.addr = memory_->read_le64(base + kDescAddrOffset);
-  d.len = memory_->read_le32(base + kDescLenOffset);
-  d.flags = memory_->read_le16(base + kDescFlagsOffset);
-  d.next = memory_->read_le16(base + kDescNextOffset);
-  return d;
+  std::array<u8, kDescSize> raw{};
+  memory_->read(addrs_.desc + desc_offset(index), raw);
+  return decode_descriptor(raw);
 }
 
 std::optional<u16> VirtqueueDriver::add_chain(
@@ -131,17 +123,13 @@ std::optional<u16> VirtqueueDriver::add_chain_indirect(
   const HostAddr table = indirect_table_[head];
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     const ChainBuffer& b = buffers[i];
-    const HostAddr entry = table + kDescSize * i;
-    memory_->write_le64(entry + kDescAddrOffset, b.addr);
-    memory_->write_le32(entry + kDescLenOffset, b.len);
-    u16 flags = b.device_writable ? descflags::kWrite : u16{0};
-    u16 next = 0;
+    Descriptor entry{b.addr, b.len,
+                     b.device_writable ? descflags::kWrite : u16{0}, 0};
     if (i + 1 < buffers.size()) {
-      flags |= descflags::kNext;
-      next = static_cast<u16>(i + 1);  // table-relative indices
+      entry.flags |= descflags::kNext;
+      entry.next = static_cast<u16>(i + 1);  // table-relative indices
     }
-    memory_->write_le16(entry + kDescFlagsOffset, flags);
-    memory_->write_le16(entry + kDescNextOffset, next);
+    memory_->write(table + kDescSize * i, encode_descriptor(entry));
   }
 
   // One ring descriptor points at the table.
@@ -202,8 +190,10 @@ std::optional<VirtqueueDriver::Completion> VirtqueueDriver::harvest_used() {
   }
   const u16 slot = static_cast<u16>(last_used_idx_ % queue_size_);
   const HostAddr entry = addrs_.used + used_entry_offset(slot);
-  const u32 id = memory_->read_le32(entry);
-  const u32 written = memory_->read_le32(entry + 4);
+  std::array<u8, kUsedElemSize> elem{};
+  memory_->read(entry, elem);
+  const u32 id = load_le32(elem, 0);
+  const u32 written = load_le32(elem, 4);
   if (id >= queue_size_) {
     // Corrupt used entry (Linux: "id %u out of range"): refuse to
     // harvest and mark the vring broken so the driver resets the device.

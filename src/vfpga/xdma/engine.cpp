@@ -2,7 +2,7 @@
 
 #include <array>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "vfpga/common/contract.hpp"
 
@@ -40,16 +40,16 @@ sim::SimTime DmaChannel::move_data(sim::SimTime start, HostAddr host_addr,
   sim::SimTime t = start + config_.clock.cycles(config_.datapath_fixed_cycles);
   const u64 beats = card_memory_->beats_for(bytes);
 
+  // The data streams between host memory and the BRAM window itself:
+  // no bounce buffer on either side.
   if (direction_ == Direction::H2C) {
-    Bytes buffer(bytes);
-    t = port_.read(t, host_addr, buffer);  // PCIe read of host payload
-    card_memory_->write(card_addr, buffer);
+    // PCIe read of the host payload, landing in BRAM.
+    t = port_.read(t, host_addr, card_memory_->span(card_addr, bytes));
     t += config_.clock.cycles(beats);  // drain into BRAM
   } else {
-    Bytes buffer(bytes);
-    card_memory_->read(card_addr, buffer);
     t += config_.clock.cycles(beats);  // fill from BRAM
-    const auto timing = port_.write(t, host_addr, buffer);
+    const auto timing = port_.write(
+        t, host_addr, std::as_const(*card_memory_).span(card_addr, bytes));
     // The channel is architecturally "busy" until the data is globally
     // visible: the IRQ/writeback that follows must not pass the data.
     t = timing.delivered;
@@ -125,21 +125,16 @@ sim::SimTime DmaChannel::transfer_gather(
                                                 segments.size());
   t += config_.clock.cycles(config_.datapath_fixed_cycles);
 
+  // Each segment's completions land directly in its slice of BRAM.
+  gather_reads_.clear();
   u64 total = 0;
   for (const GatherSegment& s : segments) {
     VFPGA_EXPECTS(s.bytes > 0);
+    gather_reads_.push_back(
+        {s.host_addr, card_memory_->span(card_addr + total, s.bytes)});
     total += s.bytes;
   }
-  Bytes buffer(total);
-  std::vector<pcie::DmaPort::ReadSegment> reads;
-  reads.reserve(segments.size());
-  u64 offset = 0;
-  for (const GatherSegment& s : segments) {
-    reads.push_back({s.host_addr, ByteSpan{buffer}.subspan(offset, s.bytes)});
-    offset += s.bytes;
-  }
-  t = port_.read_burst(t, reads);
-  card_memory_->write(card_addr, buffer);
+  t = port_.read_burst(t, gather_reads_);
   t += config_.clock.cycles(card_memory_->beats_for(total));
 
   status_ = regs::kStatusDescCompleted | regs::kStatusDescStopped;

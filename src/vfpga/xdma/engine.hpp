@@ -21,6 +21,7 @@
 
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "vfpga/fault/fault_plane.hpp"
 #include "vfpga/fpga/clock.hpp"
@@ -148,6 +149,9 @@ class DmaChannel {
   bool irq_enabled_ = false;
   u32 status_ = 0;
   u32 completed_count_ = 0;
+  /// transfer_gather's per-segment read list, reused from transfer to
+  /// transfer (scratch, not register state).
+  std::vector<pcie::DmaPort::ReadSegment> gather_reads_;
 };
 
 }  // namespace vfpga::xdma

@@ -1,7 +1,10 @@
-// CLI parsing shared by the benches: --threads validation. The parse
-// helper is the testable core; cli_threads wraps it with the
+// CLI parsing shared by the benches: --threads validation and the
+// unknown-argument check. The parse helpers are the testable core;
+// cli_threads and require_known_args wrap them with the
 // diagnostic-and-exit policy the benches share.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "../bench/bench_seed.hpp"
 
@@ -50,6 +53,48 @@ TEST(BenchCliDeathTest, CliThreadsExitsWithDiagnosticOnBadOperand) {
   const char* garbage[] = {"bench", "--threads=4x"};
   EXPECT_EXIT(cli_threads(2, const_cast<char**>(garbage)),
               ::testing::ExitedWithCode(2), "got \"4x\"");
+}
+
+// The strict argument check the benches run before parsing: every flag
+// CI passes is accepted, anything else is reported.
+std::optional<std::string_view> unknown(std::initializer_list<const char*> args) {
+  std::vector<char*> argv{const_cast<char*>("bench")};
+  for (const char* a : args) {
+    argv.push_back(const_cast<char*>(a));
+  }
+  return first_unknown_arg(static_cast<int>(argv.size()), argv.data(),
+                           {"--smoke", "--stats-only", "--workload-only",
+                            "--soak"},
+                           {"--sync", "--seed", "--threads"});
+}
+
+TEST(BenchCli, KnownArgumentsAreAccepted) {
+  EXPECT_FALSE(unknown({}).has_value());
+  EXPECT_FALSE(unknown({"--smoke", "--stats-only"}).has_value());
+  EXPECT_FALSE(unknown({"--smoke", "--sync", "optimistic", "--stats-only",
+                        "--workload-only"})
+                   .has_value());
+  EXPECT_FALSE(unknown({"--soak", "--smoke", "--sync=auto"}).has_value());
+  EXPECT_FALSE(unknown({"--seed", "7", "--threads=4"}).has_value());
+  EXPECT_FALSE(unknown({"--threads", "2", "--seed=0x10"}).has_value());
+}
+
+TEST(BenchCli, UnknownArgumentsAreReported) {
+  EXPECT_EQ(unknown({"--smok"}), "--smok");
+  EXPECT_EQ(unknown({"--smoke", "--stats-only", "--no-such-flag"}),
+            "--no-such-flag");
+  EXPECT_EQ(unknown({"smoke"}), "smoke");
+  EXPECT_EQ(unknown({"--smoke=1"}), "--smoke=1");  // switches take no value
+  EXPECT_EQ(unknown({"--seedling"}), "--seedling");
+  EXPECT_EQ(unknown({"--threads", "2", "3"}), "3");  // stray operand
+  EXPECT_EQ(unknown({"--smoke", "--sync"}), "--sync");  // operand missing
+}
+
+TEST(BenchCliDeathTest, RequireKnownArgsExitsWithUsage) {
+  const char* misspelt[] = {"bench", "--smoke", "--smok"};
+  EXPECT_EXIT(require_known_args(3, const_cast<char**>(misspelt),
+                                 {"--smoke"}, {"--seed"}, "[--smoke]"),
+              ::testing::ExitedWithCode(2), "\"--smok\"(.|\n)*usage:");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "vfpga/common/endian.hpp"
+#include "vfpga/common/fifo.hpp"
 #include "vfpga/common/log.hpp"
 #include "vfpga/common/types.hpp"
 
@@ -85,6 +86,67 @@ TEST(Log, ThresholdFiltersLevels) {
   log::set_threshold(log::Level::Trace);
   EXPECT_TRUE(log::enabled(log::Level::Trace));
   log::set_threshold(saved);
+}
+
+// ---- Fifo ---------------------------------------------------------------------
+
+TEST(Fifo, KeepsOrderAcrossWrapAndGrowth) {
+  Fifo<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  // Interleave pushes and pops so the ring wraps before and after it
+  // grows; a plain counter is the oracle.
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < round % 7 + 1; ++i) {
+      q.push_back(next_in++);
+    }
+    for (int i = 0; i < round % 5 && !q.empty(); ++i) {
+      ASSERT_EQ(q.front(), next_out++);
+      q.pop_front();
+    }
+    ASSERT_EQ(q.size(), static_cast<std::size_t>(next_in - next_out));
+    int expect = next_out;
+    for (const int v : q) {
+      ASSERT_EQ(v, expect++);
+    }
+  }
+}
+
+TEST(Fifo, PushFrontPrependsAndClearEmpties) {
+  Fifo<int> q;
+  q.push_back(2);
+  q.push_front(1);
+  q.push_front(0);
+  ASSERT_EQ(q.size(), 3u);
+  EXPECT_EQ(q[0], 0);
+  EXPECT_EQ(q[1], 1);
+  EXPECT_EQ(q[2], 2);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  q.push_front(7);
+  EXPECT_EQ(q.front(), 7);
+}
+
+TEST(Fifo, PoppedSlotsKeepTheirBuffersForReuse) {
+  Fifo<Bytes> q;
+  q.emplace_slot().assign(1000, 1);
+  const u8* buffer = q.front().data();
+  q.pop_front();
+  // The same slot comes back with its capacity (one-slot ring after
+  // the first growth step holds 4 slots: cycle through them).
+  for (int i = 0; i < 3; ++i) {
+    q.emplace_slot().assign(10, 2);
+    q.pop_front();
+  }
+  Bytes& reused = q.emplace_slot();
+  EXPECT_GE(reused.capacity(), 1000u);
+  EXPECT_EQ(reused.data(), buffer);
+}
+
+TEST(FifoDeathTest, PopOrFrontOfEmptyAborts) {
+  Fifo<int> q;
+  EXPECT_DEATH(q.pop_front(), "");
+  EXPECT_DEATH((void)q.front(), "");
 }
 
 }  // namespace

@@ -15,10 +15,10 @@
 // the constant here and says why in CHANGES.md.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdio>
 #include <string>
 
+#include "support/sweep_digest.hpp"
 #include "vfpga/fpga/perf_counter.hpp"
 #include "vfpga/harness/blk_bench.hpp"
 #include "vfpga/harness/virtio_bench.hpp"
@@ -28,60 +28,14 @@
 namespace vfpga {
 namespace {
 
-class Fnv1a {
- public:
-  void add_u64(u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      add_byte(static_cast<u8>(v >> (8 * i)));
-    }
-  }
-  void add_double(double v) { add_u64(std::bit_cast<u64>(v)); }
-  void add_bytes(ConstByteSpan data) {
-    for (const u8 b : data) {
-      add_byte(b);
-    }
-  }
-  void add_string(const std::string& s) {
-    add_u64(s.size());
-    for (const char c : s) {
-      add_byte(static_cast<u8>(c));
-    }
-  }
-  void add_samples(const stats::SampleSet& set) {
-    add_u64(set.count());
-    for (const double v : set.values_us()) {
-      add_double(v);
-    }
-  }
-  [[nodiscard]] u64 value() const { return h_; }
-
- private:
-  void add_byte(u8 b) {
-    h_ ^= b;
-    h_ *= 0x100000001b3ull;
-  }
-  u64 h_ = 0xcbf29ce484222325ull;
-};
+using testing_support::Fnv1a;
+using testing_support::sweep_digest;
 
 harness::ExperimentConfig reduced_config() {
   harness::ExperimentConfig config;  // default seed and payload sweep
   config.iterations = 2000;
   config.warmup = 16;
   return config;
-}
-
-u64 sweep_digest(const harness::SweepResult& sweep) {
-  Fnv1a h;
-  h.add_string(sweep.driver_name);
-  h.add_u64(sweep.cells.size());
-  for (const harness::CellResult& cell : sweep.cells) {
-    h.add_u64(cell.payload);
-    h.add_u64(cell.failures);
-    h.add_samples(cell.total_us);
-    h.add_samples(cell.hardware_us);
-    h.add_samples(cell.software_us);
-  }
-  return h.value();
 }
 
 TEST(GoldenDigest, VirtioSweep) {

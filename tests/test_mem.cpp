@@ -1,6 +1,8 @@
 // Unit tests: simulated host memory and BRAM.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "vfpga/mem/bram.hpp"
 #include "vfpga/mem/host_memory.hpp"
 
@@ -186,6 +188,25 @@ TEST(Bram, RoundTripAndBounds) {
   bram.read(100, out);
   EXPECT_EQ(out, data);
   EXPECT_EQ(bram.size(), 1024u);
+}
+
+TEST(Bram, SpansAreBoundsCheckedViewsOfTheStorage) {
+  Bram bram{64, 8};
+  const ByteSpan view = bram.span(8, 4);
+  view[0] = 0xab;
+  EXPECT_EQ(bram.read_u8(8), 0xab);
+  bram.write_le16(10, 0xbeef);
+  EXPECT_EQ(view[2], 0xef);  // a later write shows through the view
+  EXPECT_EQ(view[3], 0xbe);
+  EXPECT_EQ(bram.span(64, 0).size(), 0u);  // empty view at the end
+  EXPECT_EQ(std::as_const(bram).span(0, 64).size(), 64u);
+}
+
+TEST(BramDeathTest, SpanPastTheEndAborts) {
+  Bram bram{64, 8};
+  EXPECT_DEATH((void)bram.span(60, 5), "");
+  EXPECT_DEATH((void)bram.span(65, 0), "");
+  EXPECT_DEATH((void)bram.span(8, ~u64{0}), "");  // no wrap-around
 }
 
 TEST(Bram, Le32Accessors) {

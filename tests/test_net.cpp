@@ -6,6 +6,7 @@
 #include "vfpga/net/arp.hpp"
 #include "vfpga/net/checksum.hpp"
 #include "vfpga/net/ethernet.hpp"
+#include "vfpga/net/frame.hpp"
 #include "vfpga/net/icmp.hpp"
 #include "vfpga/net/ipv4.hpp"
 #include "vfpga/net/routing.hpp"
@@ -515,6 +516,98 @@ TEST(Addr, ToStringFormats) {
   EXPECT_EQ(kHostMac.to_string(), "02:00:00:00:00:01");
   EXPECT_TRUE(kBroadcastMac.is_broadcast());
   EXPECT_FALSE(kHostMac.is_broadcast());
+}
+
+// ---- one-pass frame writer ----------------------------------------------------------
+
+// The nested build_* composition is the oracle: the writer must produce
+// the same bytes into a dirty, reused buffer.
+TEST(FrameWriter, UdpFrameMatchesNestedBuildersAtEverySize) {
+  Bytes frame;
+  for (u64 size = 0; size <= 1472; size += (size < 64 ? 1 : 37)) {
+    Bytes payload(size);
+    for (u64 i = 0; i < size; ++i) {
+      payload[i] = static_cast<u8>(i * 31 + size);
+    }
+    Ipv4Header ip{kHostIp, kFpgaIp, IpProtocol::Udp};
+    ip.ttl = 17;
+    ip.identification = static_cast<u16>(size * 3);
+    const EthernetHeader eth{kFpgaMac, kHostMac, EtherType::Ipv4};
+    const UdpHeader udp{4791, 9000};
+    const Bytes expected = build_ethernet_frame(
+        eth, build_ipv4_packet(
+                 ip, build_udp_datagram(udp, kHostIp, kFpgaIp, payload)));
+
+    frame.assign(udp_frame_bytes(size), 0xcc);  // stale bytes everywhere
+    EXPECT_EQ(write_udp_frame(frame, {eth, ip}, udp, payload), frame.size());
+    ASSERT_EQ(frame, expected) << size;
+
+    // Offload leaves the UDP checksum 0; everything else is identical.
+    frame.assign(udp_frame_bytes(size), 0xcc);
+    write_udp_frame(frame, {eth, ip}, udp, payload,
+                    {UdpChecksum::Mode::kOffload});
+    Bytes offloaded = expected;
+    store_be16(ByteSpan{offloaded}, EthernetHeader::kSize + Ipv4Header::kSize + 6,
+               0);
+    ASSERT_EQ(frame, offloaded) << size;
+
+    // A known checksum is stored as given.
+    const u16 known = load_be16(
+        ConstByteSpan{expected}, EthernetHeader::kSize + Ipv4Header::kSize + 6);
+    frame.assign(udp_frame_bytes(size), 0xcc);
+    write_udp_frame(frame, {eth, ip}, udp, payload,
+                    {UdpChecksum::Mode::kKnown, known});
+    ASSERT_EQ(frame, expected) << size;
+  }
+}
+
+TEST(FrameWriter, EchoReusesTheRequestChecksum) {
+  // Swapping addresses and ports does not change the ones'-complement
+  // sum, so an echo's computed checksum equals its request's.
+  for (u64 size = 0; size < 300; ++size) {
+    Bytes payload(size);
+    for (u64 i = 0; i < size; ++i) {
+      payload[i] = static_cast<u8>(i ^ (size * 7));
+    }
+    const Bytes request =
+        build_udp_datagram(UdpHeader{4791, 9000}, kHostIp, kFpgaIp, payload);
+    const Bytes echo =
+        build_udp_datagram(UdpHeader{9000, 4791}, kFpgaIp, kHostIp, payload);
+    ASSERT_EQ(load_be16(ConstByteSpan{request}, 6),
+              load_be16(ConstByteSpan{echo}, 6))
+        << size;
+  }
+}
+
+TEST(FrameWriter, IcmpAndArpFramesMatchNestedBuilders) {
+  const EthernetHeader eth{kFpgaMac, kHostMac, EtherType::Ipv4};
+  for (u64 size : {0u, 1u, 18u, 56u, 1000u}) {
+    const Bytes payload(size, 0x5a);
+    const IcmpEcho echo{IcmpType::EchoRequest, 0xabcd, static_cast<u16>(size)};
+    Ipv4Header ip{kHostIp, kFpgaIp, IpProtocol::Icmp};
+    ip.identification = 77;
+    const Bytes expected = build_ethernet_frame(
+        eth, build_ipv4_packet(ip, build_icmp_echo(echo, payload)));
+    Bytes frame(icmp_echo_frame_bytes(size), 0xcc);
+    write_icmp_echo_frame(frame, {eth, ip}, echo, payload);
+    ASSERT_EQ(frame, expected) << size;
+  }
+  ArpMessage arp;
+  arp.op = ArpOp::Reply;
+  arp.sender_mac = kFpgaMac;
+  arp.sender_ip = kFpgaIp;
+  arp.target_mac = kHostMac;
+  arp.target_ip = kHostIp;
+  const EthernetHeader arp_eth{kHostMac, kFpgaMac, EtherType::Arp};
+  Bytes frame(kArpFrameBytes, 0xcc);
+  write_arp_frame(frame, arp_eth, arp);
+  EXPECT_EQ(frame, build_ethernet_frame(arp_eth, build_arp_message(arp)));
+}
+
+TEST(FrameWriterDeathTest, WrongBufferSizeAborts) {
+  Bytes small(udp_frame_bytes(10) - 1);
+  const Bytes payload(10, 1);
+  EXPECT_DEATH(write_udp_frame(small, {}, UdpHeader{1, 2}, payload), "");
 }
 
 }  // namespace
