@@ -1,11 +1,11 @@
 #include "vfpga/harness/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <thread>
 #include <vector>
 
+#include "vfpga/sim/event_lane.hpp"
 #include "vfpga/sim/rng.hpp"
 
 namespace vfpga::harness {
@@ -37,34 +37,6 @@ unsigned worker_threads(std::size_t cells, unsigned cli_request) {
   return std::max(threads, 1u);
 }
 
-void run_parallel(std::vector<std::function<void()>> tasks,
-                  unsigned threads) {
-  if (threads <= 1 || tasks.size() <= 1) {
-    for (auto& task : tasks) {
-      task();
-    }
-    return;
-  }
-  // A worker beyond the task count would grab no work; don't pay its
-  // creation cost (callers may pass a raw VFPGA_THREADS value).
-  const unsigned workers_needed =
-      std::min<unsigned>(threads, static_cast<unsigned>(tasks.size()));
-  std::atomic<std::size_t> next{0};
-  std::vector<std::jthread> workers;
-  workers.reserve(workers_needed);
-  for (unsigned w = 0; w < workers_needed; ++w) {
-    workers.emplace_back([&] {
-      for (;;) {
-        const std::size_t index = next.fetch_add(1);
-        if (index >= tasks.size()) {
-          return;
-        }
-        tasks[index]();
-      }
-    });
-  }
-}
-
 std::pair<SweepResult, SweepResult> run_both_sweeps_parallel(
     const ExperimentConfig& config) {
   SweepResult virtio;
@@ -91,17 +63,28 @@ std::pair<SweepResult, SweepResult> run_both_sweeps_parallel(
     }
   }
 
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < config.payloads.size(); ++i) {
-    tasks.emplace_back([&, i] {
-      virtio.cells[i] =
-          run_virtio_cell(config, config.payloads[i], virtio_seeds[i]);
-    });
-    tasks.emplace_back([&, i] {
-      xdma.cells[i] = run_xdma_cell(config, config.payloads[i], xdma_seeds[i]);
-    });
+  // One lane per cell, VirtIO and XDMA interleaved per payload; each
+  // lane's single event runs its whole cell. The lanes exchange no
+  // messages, so the LaneSet is one round of work claimed cell by cell
+  // by whichever worker is free.
+  const u32 cells = static_cast<u32>(2 * config.payloads.size());
+  sim::LaneSetConfig lc;
+  lc.lanes = cells;
+  lc.ring_capacity = 2;  // the smallest ring: no lane ever sends
+  sim::LaneSet set{lc};
+  for (u32 i = 0; i < config.payloads.size(); ++i) {
+    set.lane(2 * i).scheduler().schedule_at(
+        sim::SimTime{}, [&config, &virtio, &virtio_seeds, i] {
+          virtio.cells[i] =
+              run_virtio_cell(config, config.payloads[i], virtio_seeds[i]);
+        });
+    set.lane(2 * i + 1).scheduler().schedule_at(
+        sim::SimTime{}, [&config, &xdma, &xdma_seeds, i] {
+          xdma.cells[i] =
+              run_xdma_cell(config, config.payloads[i], xdma_seeds[i]);
+        });
   }
-  run_parallel(std::move(tasks), worker_threads(tasks.size()));
+  set.run(worker_threads(cells));
   return {std::move(virtio), std::move(xdma)};
 }
 

@@ -1,12 +1,12 @@
 // Parallel sweep driver.
 //
 // Each (driver, payload) cell is an independent simulation with its own
-// testbed and seeded RNG stream, so cells run on a thread pool with
-// bit-identical results regardless of scheduling — "same seed, same
-// tables" holds at any thread count (set VFPGA_THREADS=1 to verify).
+// testbed and seeded RNG stream, so the cells run as zero-message lanes
+// of one sim::LaneSet with bit-identical results regardless of
+// scheduling — "same seed, same tables" holds at any thread count (set
+// VFPGA_THREADS=1 to verify).
 #pragma once
 
-#include <functional>
 #include <utility>
 
 #include "vfpga/harness/virtio_bench.hpp"
@@ -24,11 +24,6 @@ unsigned worker_threads(std::size_t cells);
 /// so a CI matrix can pin the oracle thread count without caring what
 /// flags each bench invocation carries.
 unsigned worker_threads(std::size_t cells, unsigned cli_request);
-
-/// Run `tasks` on up to `threads` workers; task order in the result is
-/// preserved.
-void run_parallel(std::vector<std::function<void()>> tasks,
-                  unsigned threads);
 
 /// Run both driver sweeps with all cells in parallel.
 std::pair<SweepResult, SweepResult> run_both_sweeps_parallel(

@@ -8,7 +8,6 @@
 #include "vfpga/common/contract.hpp"
 #include "vfpga/core/testbed.hpp"
 #include "vfpga/harness/parallel.hpp"
-#include "vfpga/migrate/snapshot.hpp"
 #include "vfpga/sim/rng.hpp"
 #include "vfpga/stats/sharded.hpp"
 
@@ -22,18 +21,8 @@ constexpr u32 kEchoAttempts = 64;
 /// worker stepping this lane touches any of it during a window; the
 /// cross-lane `notified` counter is bumped by message handlers, which
 /// also run on the owning lane.
-///
-/// As the lane's LaneCheckpointHook it is the resumable-bench-cell side
-/// of optimistic sync: save() serializes the testbed (a PR-6 snapshot
-/// image taken in place — pending holdoffs are captured faithfully, no
-/// quiesce needed), the host thread, the FlowGen shard and the sample
-/// count; restore() rebuilds the testbed from the same options, applies
-/// the image, and rebinds the per-slot sockets (thin stack+port views)
-/// to the rebuilt stack.
-struct LaneContext final : sim::LaneCheckpointHook {
-  u32 id = 0;
+struct LaneContext {
   sim::EventLane* lane = nullptr;
-  core::TestbedOptions options;
   std::unique_ptr<core::VirtioNetTestbed> bed;
   std::unique_ptr<hostos::HostThread> thread;
   std::unique_ptr<net::FlowGen> gen;
@@ -42,42 +31,8 @@ struct LaneContext final : sim::LaneCheckpointHook {
   u64 quota = 0;
   u64 packets_done = 0;
   u64 failures = 0;
-  u64 completions = 0;
   u64 notified = 0;  ///< cross-lane notification handlers that ran here
   sim::SimTime last_activity{};
-
-  void save(migrate::StateWriter& w) override {
-    w.put_blob(migrate::save_snapshot(*bed, true));
-    thread->save_state(w);
-    gen->save_state(w);
-    w.put_u64(samples->count());
-    w.put_u64(packets_done);
-    w.put_u64(failures);
-    w.put_u64(completions);
-    w.put_u64(notified);
-    w.put_time(last_activity);
-  }
-
-  void restore(migrate::StateReader& r) override {
-    const Bytes image = r.get_blob();
-    bed = std::make_unique<core::VirtioNetTestbed>(options);
-    const migrate::RestoreStatus status =
-        migrate::restore_snapshot(*bed, image);
-    VFPGA_ASSERT(status == migrate::RestoreStatus::kOk);
-    thread = bed->spawn_thread();
-    thread->load_state(r);
-    gen->load_state(r);
-    for (u32 slot = 0; slot < sockets.size(); ++slot) {
-      sockets[slot] = std::make_unique<hostos::UdpSocket>(
-          bed->stack(), gen->flow(slot).src_port);
-    }
-    samples->truncate(r.get_u64());
-    packets_done = r.get_u64();
-    failures = r.get_u64();
-    completions = r.get_u64();
-    notified = r.get_u64();
-    last_activity = r.get_time();
-  }
 };
 
 class Runner {
@@ -87,8 +42,6 @@ class Runner {
     lc.lanes = config.lanes;
     lc.window = config.window;
     lc.ring_capacity = config.ring_capacity;
-    lc.speculation.mode = config.sync;
-    lc.speculation.depth = config.speculation_depth;
     return lc;
   }
 
@@ -101,15 +54,15 @@ class Runner {
     contexts_.reserve(config_.lanes);
     for (u32 i = 0; i < config_.lanes; ++i) {
       auto ctx = std::make_unique<LaneContext>();
-      ctx->id = i;
       ctx->lane = &set_.lane(i);
       ctx->samples = &shards_.shard(i);
       ctx->quota = config_.packets_per_lane;
 
-      ctx->options.seed = seeder.next();
-      ctx->options.requested_queue_pairs = 1;
-      ctx->options.net.max_queue_pairs = 1;
-      ctx->bed = std::make_unique<core::VirtioNetTestbed>(ctx->options);
+      core::TestbedOptions options;
+      options.seed = seeder.next();
+      options.requested_queue_pairs = 1;
+      options.net.max_queue_pairs = 1;
+      ctx->bed = std::make_unique<core::VirtioNetTestbed>(options);
       ctx->thread = ctx->bed->spawn_thread();
 
       // The lane's population: its slice of the GLOBAL RSS space. Every
@@ -137,7 +90,6 @@ class Runner {
             ctx->bed->stack(), ctx->gen->flow(slot).src_port);
       }
       contexts_.push_back(std::move(ctx));
-      set_.set_checkpoint_hook(i, contexts_.back().get());
     }
 
     // Seed each slot's first departure with a deterministic stagger so
@@ -168,10 +120,6 @@ class Runner {
     r.dropped_messages = stats.dropped;
     r.window_growths = stats.window_growths;
     r.window_shrinks = stats.window_shrinks;
-    r.speculative_rounds = stats.speculative_rounds;
-    r.speculated_windows = stats.speculated_windows;
-    r.rollbacks = stats.rollbacks;
-    r.checkpoint_bytes = stats.checkpoint_bytes;
     r.residency = stats.residency;
     sim::SimTime last{};
     for (const std::unique_ptr<LaneContext>& ctx : contexts_) {
@@ -255,14 +203,11 @@ class Runner {
       return;
     }
     // Flow finished: tell the next lane (a real cross-lane message
-    // through the rings; due = post_horizon(lane) is the earliest legal
-    // instant — the sender's own window end, == horizon() outside a
-    // speculative round), then churn the slot.
-    ++ctx.completions;
+    // through the rings; due = horizon() is the earliest legal instant),
+    // then churn the slot.
     const u32 dst = (lane_id + 1) % static_cast<u32>(contexts_.size());
     u64* counter = &contexts_[dst]->notified;
-    set_.post(lane_id, dst, set_.post_horizon(lane_id),
-              [counter] { ++*counter; });
+    set_.post(lane_id, dst, set_.horizon(), [counter] { ++*counter; });
     const std::optional<sim::Duration> arrival = ctx.gen->churn_slot(slot);
     if (arrival.has_value()) {
       // The replacement flow has a fresh source port: rebind its socket.
@@ -301,35 +246,14 @@ SimSpeedResult run_sim_speed(const SimSpeedConfig& config) {
 
 namespace {
 
-/// One lane's soak shard: the FlowGen slice plus tick bookkeeping. The
-/// checkpoint hook is just the FlowGen state plus these counters — no
-/// testbed, so soak checkpoints are cheap and the soak is the workload
-/// where speculation pays (sparse notifies = rare stragglers).
-struct SoakShard final : sim::LaneCheckpointHook {
+/// One lane's soak shard: the FlowGen slice plus tick bookkeeping.
+struct SoakShard {
   std::unique_ptr<net::FlowGen> gen;
   u32 cursor = 0;  ///< next slot the tick batch starts from
   u32 ticks_done = 0;
   u64 packets = 0;
   u64 notified = 0;  ///< cross-lane notification handlers that ran here
   sim::SimTime last_activity{};
-
-  void save(migrate::StateWriter& w) override {
-    gen->save_state(w);
-    w.put_u32(cursor);
-    w.put_u32(ticks_done);
-    w.put_u64(packets);
-    w.put_u64(notified);
-    w.put_time(last_activity);
-  }
-
-  void restore(migrate::StateReader& r) override {
-    gen->load_state(r);
-    cursor = r.get_u32();
-    ticks_done = r.get_u32();
-    packets = r.get_u64();
-    notified = r.get_u64();
-    last_activity = r.get_time();
-  }
 };
 
 class SoakRunner {
@@ -353,7 +277,6 @@ class SoakRunner {
       gc.mean_gap_us = config_.mean_gap_us;
       gc.seed = seeder.next();
       shards_[l].gen = std::make_unique<net::FlowGen>(gc);
-      set_.set_checkpoint_hook(l, &shards_[l]);
 
       // Stagger first ticks so the opening window is not one aligned
       // burst (the offsets are fixed — determinism is untouched).
@@ -377,10 +300,6 @@ class SoakRunner {
     r.barriers = stats.barriers;
     r.window_growths = stats.window_growths;
     r.window_shrinks = stats.window_shrinks;
-    r.speculative_rounds = stats.speculative_rounds;
-    r.speculated_windows = stats.speculated_windows;
-    r.rollbacks = stats.rollbacks;
-    r.checkpoint_bytes = stats.checkpoint_bytes;
     r.cross_lane_messages = stats.messages;
     sim::SimTime last{};
     for (const SoakShard& shard : shards_) {
@@ -420,8 +339,6 @@ class SoakRunner {
     lc.adaptive.enabled = config.adaptive;
     lc.adaptive.min_window = config.window;
     lc.adaptive.max_window = sim::milliseconds(10);
-    lc.speculation.mode = config.sync;
-    lc.speculation.depth = config.speculation_depth;
     return lc;
   }
 
@@ -452,7 +369,7 @@ class SoakRunner {
     if (shard.ticks_done % config_.notify_every == 0) {
       const u32 dst = (l + 1) % config_.lanes;
       u64* counter = &shards_[dst].notified;
-      set_.post(l, dst, set_.post_horizon(l), [counter] { ++*counter; });
+      set_.post(l, dst, set_.horizon(), [counter] { ++*counter; });
     }
     if (shard.ticks_done < config_.ticks) {
       set_.lane(l).scheduler().schedule_after(config_.tick,

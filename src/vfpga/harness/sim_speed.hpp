@@ -35,14 +35,6 @@ struct SimSpeedConfig {
   sim::Duration window = sim::microseconds(100);
   u32 ring_capacity = 4096;
 
-  /// Cross-lane sync mode. Every lane context is a LaneCheckpointHook
-  /// (testbed snapshot + host-thread + FlowGen + sample counts), so all
-  /// three modes are available; the WORKLOAD fields of the result are
-  /// identical in every mode — only the sync-machinery counters move.
-  sim::SyncMode sync = sim::SyncMode::kConservative;
-  /// Max extra windows past the conservative horizon per round.
-  u32 speculation_depth = 3;
-
   /// Traffic shape (see net::FlowGenConfig).
   net::ArrivalProcess arrivals = net::ArrivalProcess::kMmpp2;
   double mean_gap_us = 50.0;
@@ -75,14 +67,9 @@ struct SimSpeedResult {
   stats::LatencySummary latency{};  ///< merged echo latency
   u64 sample_count = 0;
 
-  // ---- sync machinery (deterministic per mode; the workload fields
-  // above are additionally identical ACROSS modes) --------------------
+  // ---- sync machinery (also deterministic) --------------------------
   u64 window_growths = 0;
   u64 window_shrinks = 0;
-  u64 speculative_rounds = 0;
-  u64 speculated_windows = 0;
-  u64 rollbacks = 0;
-  u64 checkpoint_bytes = 0;
   std::vector<sim::LaneSet::LaneResidency> residency;
 
   // ---- allocator health (deterministic: same events -> same arenas) -
@@ -135,13 +122,6 @@ struct FlowSoakConfig {
   bool adaptive = true;  ///< off = fixed window (the barrier baseline)
   u32 ring_capacity = 4096;
 
-  /// Cross-lane sync mode; each shard checkpoints through its FlowGen.
-  /// The soak's sparse notifications are the speculation-friendly case:
-  /// most rounds commit their full depth, the occasional notify round
-  /// rolls back once to the notifying window.
-  sim::SyncMode sync = sim::SyncMode::kConservative;
-  u32 speculation_depth = 3;
-
   /// Mice-heavy sizes so slots churn several times within the soak.
   u64 size_max_packets = 8;
   double mean_gap_us = 20.0;
@@ -164,10 +144,6 @@ struct FlowSoakResult {
   u64 barriers = 0;
   u64 window_growths = 0;
   u64 window_shrinks = 0;
-  u64 speculative_rounds = 0;
-  u64 speculated_windows = 0;
-  u64 rollbacks = 0;
-  u64 checkpoint_bytes = 0;
   u64 cross_lane_messages = 0;
   u64 cross_lane_received = 0;
   /// Allocated flow-table bytes across all shards, and per slot — the

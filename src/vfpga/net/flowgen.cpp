@@ -227,86 +227,6 @@ void FlowGen::reconnect_slot(u32 slot) {
   ++created_;
 }
 
-namespace {
-
-template <typename T>
-ConstByteSpan column_bytes(const std::vector<T>& column) {
-  return ConstByteSpan{reinterpret_cast<const u8*>(column.data()),
-                       column.size() * sizeof(T)};
-}
-
-template <typename T>
-ByteSpan column_bytes_mut(std::vector<T>& column) {
-  return ByteSpan{reinterpret_cast<u8*>(column.data()),
-                  column.size() * sizeof(T)};
-}
-
-}  // namespace
-
-void FlowGen::save_state(migrate::StateWriter& w) const {
-  for (const u64 word : rng_.state()) {
-    w.put_u64(word);
-  }
-  // Column lengths are fixed by the config the restoring generator must
-  // share, so the bytes go raw, no per-column length prefix.
-  w.put_bytes(column_bytes(ids_));
-  w.put_bytes(column_bytes(remaining_));
-  w.put_bytes(column_bytes(ports_));
-  w.put_bytes(column_bytes(ip_index_));
-  w.put_bytes(column_bytes(flags_));
-  for (const std::vector<u8>& table : steer_) {
-    w.put_bool(!table.empty());
-  }
-  for (const std::vector<u32>& freelist : free_by_pair_) {
-    w.put_u64(freelist.size());
-    w.put_bytes(column_bytes(freelist));
-  }
-  w.put_u32(carve_ip_);
-  w.put_u32(carve_port_);
-  w.put_u64(live_tuples_);
-  w.put_u64(next_id_);
-  w.put_u64(created_);
-  w.put_u64(completed_);
-  w.put_u64(abandoned_);
-  w.put_u64(packets_);
-  w.put_u64(open_);
-}
-
-void FlowGen::load_state(migrate::StateReader& r) {
-  std::array<u64, 4> rng_state;
-  for (u64& word : rng_state) {
-    word = r.get_u64();
-  }
-  rng_.set_state(rng_state);
-  r.get_bytes(column_bytes_mut(ids_));
-  r.get_bytes(column_bytes_mut(remaining_));
-  r.get_bytes(column_bytes_mut(ports_));
-  r.get_bytes(column_bytes_mut(ip_index_));
-  r.get_bytes(column_bytes_mut(flags_));
-  for (std::vector<u8>& table : steer_) {
-    const bool built = r.get_bool();
-    if (!built && !table.empty()) {
-      // Built after the save: drop it (capacity included) so
-      // footprint_bytes() rewinds too. If it was built before the save
-      // it is a pure function of the config — keeping it is exact.
-      std::vector<u8>().swap(table);
-    }
-  }
-  for (std::vector<u32>& freelist : free_by_pair_) {
-    freelist.resize(r.get_u64());
-    r.get_bytes(column_bytes_mut(freelist));
-  }
-  carve_ip_ = r.get_u32();
-  carve_port_ = r.get_u32();
-  live_tuples_ = r.get_u64();
-  next_id_ = r.get_u64();
-  created_ = r.get_u64();
-  completed_ = r.get_u64();
-  abandoned_ = r.get_u64();
-  packets_ = r.get_u64();
-  open_ = r.get_u64();
-}
-
 u64 FlowGen::footprint_bytes() const {
   u64 bytes = 0;
   bytes += ids_.capacity() * sizeof(u64);

@@ -5,9 +5,11 @@
 // rte_ring): a power-of-two slot array with masked head/tail cursors,
 // never allocating on the hot path, and dropping (with a counter) when
 // full instead of blocking — the producer owns the retry policy. The
-// simulation is cooperative single-OS-thread, so the "lock-free" part is
-// a modelling statement: a push costs one slot write + cursor bump and
-// can never stall the consumer.
+// ring itself is not thread-safe, so the "lock-free" part is a
+// modelling statement: a push costs one slot write + cursor bump and
+// can never stall the consumer. Reactors run cooperatively on one OS
+// thread; sim::LaneSet pushes only in its single-threaded barrier phase
+// and pops only from the lane that owns the ring.
 //
 // Causality: each message carries the simulated time it was posted; a
 // consumer whose clock has not reached that time does not see it yet
@@ -18,7 +20,6 @@
 #include <optional>
 #include <vector>
 
-#include "vfpga/common/contract.hpp"
 #include "vfpga/common/types.hpp"
 #include "vfpga/sim/event.hpp"
 #include "vfpga/sim/time.hpp"
@@ -94,41 +95,6 @@ class MessageRing {
       return std::nullopt;
     }
     return slots_[static_cast<std::size_t>(head_ & mask_)].posted_at;
-  }
-
-  // ---- non-destructive consumption (optimistic lane sync) -----------
-  //
-  // A speculating consumer may have to re-deliver everything it read if
-  // it rolls back, so it PEEKS entries in place (the closure stays
-  // queued and must be re-invocable) and only consume()s the delivered
-  // prefix once the speculated region commits. Between peek and consume
-  // the ring must not be popped through try_pop — the two protocols
-  // address the same head cursor.
-
-  /// Post time of the entry `offset` slots past the head (offset <
-  /// size()).
-  [[nodiscard]] sim::SimTime peeked_at(u32 offset) const {
-    VFPGA_EXPECTS(offset < size());
-    return slots_[static_cast<std::size_t>((head_ + offset) & mask_)]
-        .posted_at;
-  }
-
-  /// The message `offset` slots past the head, left in place. Invoking
-  /// it must leave it re-invocable (rollback re-delivers it).
-  [[nodiscard]] Message& peek(u32 offset) {
-    VFPGA_EXPECTS(offset < size());
-    return slots_[static_cast<std::size_t>((head_ + offset) & mask_)].fn;
-  }
-
-  /// Retire `n` peeked entries from the head — the commit half of the
-  /// peek/consume protocol. Counts them as dequeued.
-  void consume(u32 n) {
-    VFPGA_EXPECTS(n <= size());
-    for (u32 i = 0; i < n; ++i) {
-      slots_[static_cast<std::size_t>(head_ & mask_)].fn = nullptr;
-      ++head_;
-      ++dequeued_;
-    }
   }
 
   [[nodiscard]] u64 enqueued() const { return enqueued_; }

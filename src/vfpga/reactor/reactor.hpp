@@ -12,13 +12,14 @@
 // The simulation keeps the model cooperative: poll_once() advances the
 // reactor's HostThread through calibrated cost segments
 // (reactor_poll_iteration per loop, reactor_msg per dispatched message)
-// and every callback runs on the reactor's own simulated timeline. A
-// ReactorGroup interleaves several reactors earliest-clock-first, the
-// same conservative discipline harness::run_multi_flow uses.
+// and every callback runs on the reactor's own simulated timeline.
+// Several reactors in one simulation exchange messages through each
+// other's rings; each reactor is driven by its own caller (the blk
+// bench runs one per cell).
 #pragma once
 
 #include <algorithm>
-#include <memory>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,7 @@ namespace vfpga::reactor {
 
 /// A poller returns true when it found work this call (busy) and false
 /// when it polled dry — the reactor's idle accounting, and the signal
-/// ReactorGroup uses to decide when the whole group has drained.
+/// run_until_idle() uses to decide when the loop has drained.
 using PollerFn = std::function<bool(sim::SimTime now)>;
 
 struct ReactorConfig {
@@ -106,7 +107,7 @@ class Reactor {
     return false;
   }
 
-  /// Earliest pending timer deadline (nullopt when none) — the group's
+  /// Earliest pending timer deadline (nullopt when none) — the
   /// idle-advance target.
   [[nodiscard]] std::optional<sim::SimTime> next_timer_deadline() const {
     std::optional<sim::SimTime> best;
@@ -287,75 +288,6 @@ class Reactor {
   std::vector<Timer> timers_;
   u64 next_id_ = 1;
   Stats stats_;
-};
-
-/// A fixed set of reactors interleaved earliest-clock-first — the
-/// cooperative stand-in for N pinned polling cores. Threads are spawned
-/// by the caller (typically VirtioNetTestbed::spawn_thread) so every
-/// reactor shares the testbed's cost model and noise stream.
-class ReactorGroup {
- public:
-  ReactorGroup(u32 count, ReactorConfig base,
-               const std::function<std::unique_ptr<hostos::HostThread>()>&
-                   spawn_thread) {
-    VFPGA_EXPECTS(count >= 1);
-    for (u32 i = 0; i < count; ++i) {
-      threads_.push_back(spawn_thread());
-      ReactorConfig cfg = base;
-      cfg.id = i;
-      reactors_.push_back(std::make_unique<Reactor>(cfg, *threads_.back()));
-    }
-  }
-
-  [[nodiscard]] u32 size() const {
-    return static_cast<u32>(reactors_.size());
-  }
-  [[nodiscard]] Reactor& at(u32 i) { return *reactors_.at(i); }
-
-  /// Interleave: always step the reactor whose clock is furthest behind
-  /// (conservative — no reactor can observe an effect from a future
-  /// clock). Stops when every reactor polls dry `idle_limit` rounds in
-  /// a row and none holds deferred work; reactors idling ahead of a
-  /// pending timer/message spin forward to it.
-  void run_until_idle(u32 idle_limit = 2) {
-    std::vector<u32> idle(reactors_.size(), 0);
-    while (true) {
-      u32 next = 0;
-      for (u32 i = 1; i < reactors_.size(); ++i) {
-        if (reactors_[i]->now() < reactors_[next]->now()) {
-          next = i;
-        }
-      }
-      Reactor& r = *reactors_[next];
-      if (r.poll_once()) {
-        idle[next] = 0;
-        continue;
-      }
-      const std::optional<sim::SimTime> wake = r.next_wakeup();
-      if (wake.has_value()) {
-        if (*wake > r.thread().now()) {
-          r.thread().spin_until(*wake);
-        }
-        idle[next] = 0;
-        continue;
-      }
-      ++idle[next];
-      bool all_idle = true;
-      for (u32 i = 0; i < reactors_.size(); ++i) {
-        if (idle[i] < idle_limit || reactors_[i]->has_pending_work()) {
-          all_idle = false;
-          break;
-        }
-      }
-      if (all_idle) {
-        return;
-      }
-    }
-  }
-
- private:
-  std::vector<std::unique_ptr<hostos::HostThread>> threads_;
-  std::vector<std::unique_ptr<Reactor>> reactors_;
 };
 
 }  // namespace vfpga::reactor

@@ -32,119 +32,63 @@ LaneSet::LaneSet(LaneSetConfig config) : config_(config) {
 
 void LaneSet::post(u32 src, u32 dst, SimTime due, SmallFn fn) {
   VFPGA_EXPECTS(src < lanes_.size() && dst < lanes_.size());
-  // Window invariant, lane-local flavour: the send cannot land inside
-  // the window its SENDER is still executing. A due inside another
-  // lane's speculated region is allowed — the commit rule catches it as
-  // a straggler and rolls the round back.
-  VFPGA_EXPECTS(due >= lanes_[src]->local_horizon_);
+  // Window invariant: the message cannot take effect inside the window
+  // that is still executing — the destination may already be past it.
+  VFPGA_EXPECTS(due >= horizon_);
   lanes_[src]->outbox_.push_back(
       EventLane::Outgoing{dst, due, std::move(fn)});
 }
 
-void LaneSet::set_checkpoint_hook(u32 id, LaneCheckpointHook* hook) {
-  VFPGA_EXPECTS(id < lanes_.size());
-  lanes_[id]->hook_ = hook;
-}
-
-void LaneSet::checkpoint_lane(EventLane& lane) {
-  lane.sched_.begin_speculation();
-  lane.ckpt_received_ = lane.received_;
-  migrate::StateWriter w;
-  lane.hook_->save(w);
-  lane.ckpt_ = w.take();
-}
-
-void LaneSet::restore_lane(EventLane& lane) {
-  lane.sched_.rollback_speculation();
-  lane.received_ = lane.ckpt_received_;
-  migrate::StateReader r{ConstByteSpan{lane.ckpt_}};
-  lane.hook_->restore(r);
-  VFPGA_ASSERT(!r.failed());
-  // Peeked ring entries were never consumed: zeroing the cursors makes
-  // the replay re-deliver the identical prefix.
-  std::fill(lane.peeked_.begin(), lane.peeked_.end(), 0u);
-  lane.round_busy_windows_ = 0;
-  lane.round_idle_windows_ = 0;
-}
-
-void LaneSet::deliver_visible(EventLane& lane, SimTime h) {
+void LaneSet::step_lane(EventLane& lane) {
   // Deliver every inbound message visible before this window end, in
   // source-id order then per-ring FIFO — a canonical order independent
-  // of which worker ran the sending lane. Delivery PEEKS the closure in
-  // place (consumption is deferred to the commit barrier) and schedules
-  // a trampoline at max(due, lane clock): a FIFO head due beyond the
-  // window blocks the messages behind it until its own window (the
-  // MessageRing visibility contract), which can only delay a message,
-  // never reorder a channel. The trampoline always fires inside this
-  // round, so the slot pointer never outlives the entry it aliases.
-  const SimTime visible_before{h.picos() - 1};
-  for (u32 src = 0; src < lane.inbox_.size(); ++src) {
-    reactor::MessageRing& ring = lane.inbox_[src];
-    u32& delivered = lane.peeked_[src];
-    while (delivered < ring.size()) {
-      const SimTime due = ring.peeked_at(delivered);
-      if (due > visible_before) {
+  // of which worker ran the sending lane. A delivered message runs at
+  // max(due, lane clock); a FIFO head due beyond the window blocks the
+  // messages behind it until its own window (the MessageRing visibility
+  // contract), which can only delay a message, never reorder a channel.
+  const SimTime visible_before{horizon_.picos() - 1};
+  for (reactor::MessageRing& ring : lane.inbox_) {
+    for (;;) {
+      const std::optional<SimTime> due = ring.next_visible_at();
+      std::optional<reactor::Message> msg = ring.try_pop(visible_before);
+      if (!msg.has_value()) {
         break;
       }
-      reactor::Message* slot = &ring.peek(delivered);
-      lane.sched_.schedule_at(std::max(due, lane.sched_.now()),
-                              [slot] { (*slot)(); });
-      ++delivered;
+      lane.sched_.schedule_at(std::max(*due, lane.sched_.now()),
+                              std::move(*msg));
       ++lane.received_;
     }
   }
+  const u64 before = lane.sched_.executed();
+  lane.sched_.run_until(visible_before);
+  lane.round_busy_ = lane.sched_.executed() != before;
 }
 
-void LaneSet::step_lane(EventLane& lane) {
-  if (restore_pending_) {
-    restore_lane(lane);
-  } else if (speculative_round_) {
-    checkpoint_lane(lane);
-  }
-  // Execute the round's windows along the grid. Each window delivers
-  // then runs — exactly the conservative schedule, repeated `depth`
-  // extra times in a speculative round.
-  const i64 w = window_.picos();
-  for (i64 h = first_horizon_.picos();; h += w) {
-    lane.local_horizon_ = SimTime{h};
-    const u64 before = lane.sched_.executed();
-    deliver_visible(lane, SimTime{h});
-    lane.sched_.run_until(SimTime{h - 1});
-    if (lane.sched_.executed() != before) {
-      ++lane.round_busy_windows_;
-    } else {
-      ++lane.round_idle_windows_;
-    }
-    if (h >= target_.picos()) {
-      break;
-    }
+void LaneSet::step_claimed_lanes() {
+  for (u32 i = next_lane_++; i < size(); i = next_lane_++) {
+    step_lane(*lanes_[i]);
   }
 }
 
 void LaneSet::retune_window() {
   const LaneSetConfig::AdaptiveWindow& a = config_.adaptive;
+  if (!a.enabled || lanes_.size() <= 1) {
+    return;  // fixed window, or a single lane with nothing to sync with
+  }
   u32 busy_lanes = 0;
   for (const std::unique_ptr<EventLane>& lane : lanes_) {
-    busy_lanes += lane->round_busy_windows_ > 0 ? 1u : 0u;
-  }
-  if (lanes_.size() <= 1) {
-    return;  // single lane: there is nothing to synchronize with
+    busy_lanes += lane->round_busy_ ? 1u : 0u;
   }
   const i64 round_messages =
       static_cast<i64>(stats_.messages - messages_at_retune_);
   messages_at_retune_ = stats_.messages;
 
   // x256 fixed-point EWMAs with alpha = 1/4 — integer arithmetic only,
-  // so every thread count computes the identical trajectory. The EWMAs
-  // feed both the window resize below and kAuto's depth choice, so
-  // they update even when the adaptive window is off.
+  // so every thread count computes the identical trajectory.
   message_ewma_x256_ += (round_messages * 256 - message_ewma_x256_) / 4;
   const i64 busy_x256 = static_cast<i64>(busy_lanes) * 256;
   busy_ewma_x256_ += (busy_x256 - busy_ewma_x256_) / 4;
 
-  if (!a.enabled) {
-    return;
-  }
   if (message_ewma_x256_ >= static_cast<i64>(a.high_messages) * 256) {
     // Chatty: messages are waiting a whole window for delivery. Shrink
     // immediately — latency is paid per message, barriers per round.
@@ -177,33 +121,6 @@ void LaneSet::retune_window() {
   }
 }
 
-u32 LaneSet::choose_depth() {
-  if (lanes_.size() <= 1) {
-    return 0;  // nothing to speculate against
-  }
-  switch (config_.speculation.mode) {
-    case SyncMode::kConservative:
-      return 0;
-    case SyncMode::kOptimistic:
-      return config_.speculation.depth;
-    case SyncMode::kAuto:
-      break;
-  }
-  // §15 controller, extended: the same message EWMA that drives the
-  // window width picks the speculation depth. A quiet fleet deepens one
-  // window per round (speculation is nearly free — stragglers are
-  // rare); a chatty fleet drops straight to conservative (every round
-  // would roll back, doubling work for nothing). Rollback feedback
-  // halves the depth in finish_round().
-  const LaneSetConfig::AdaptiveWindow& a = config_.adaptive;
-  if (message_ewma_x256_ >= static_cast<i64>(a.high_messages) * 256) {
-    auto_depth_ = 0;
-  } else if (message_ewma_x256_ <= static_cast<i64>(a.low_messages) * 256) {
-    auto_depth_ = std::min(auto_depth_ + 1, config_.speculation.depth);
-  }
-  return auto_depth_;
-}
-
 bool LaneSet::begin_round() {
   std::optional<SimTime> earliest;
   for (const std::unique_ptr<EventLane>& lane : lanes_) {
@@ -227,79 +144,19 @@ bool LaneSet::begin_round() {
   }
   // Jump to the window containing the earliest pending work — idle
   // stretches cost one barrier, not one barrier per empty window. The
-  // pending work is never behind the committed time (executed events
-  // are gone, posts and undelivered ring entries are at or past the
-  // last commit point), so the new horizon strictly grows even when
-  // the adaptive controller just changed the width.
+  // pending work is never behind the last horizon (executed events are
+  // gone, posts and undelivered ring entries are at or past it), so the
+  // new horizon strictly grows even when the adaptive controller just
+  // changed the width.
   const i64 w = window_.picos();
-  const i64 base = std::max(earliest->picos(), committed_.picos());
-  first_horizon_ = SimTime{(base / w + 1) * w};
-  const u32 extra = choose_depth();
-  target_ = SimTime{first_horizon_.picos() + w * static_cast<i64>(extra)};
-  speculative_round_ = extra > 0;
-  round_speculated_ = speculative_round_;
-  restore_pending_ = false;
-  for (const std::unique_ptr<EventLane>& lane : lanes_) {
-    lane->local_horizon_ = first_horizon_;
-  }
+  const i64 base = std::max(earliest->picos(), horizon_.picos());
+  horizon_ = SimTime{(base / w + 1) * w};
+  next_lane_ = 0;
   ++stats_.barriers;
   return true;
 }
 
 void LaneSet::finish_round() {
-  // Checkpoints were serialized this round (whether it commits or not):
-  // account them once, at the first barrier after the speculation.
-  if (speculative_round_) {
-    ++stats_.speculative_rounds;
-    for (const std::unique_ptr<EventLane>& lane : lanes_) {
-      stats_.checkpoint_bytes += lane->ckpt_.size();
-    }
-  }
-
-  // The commit rule: the earliest staged due across ALL lanes. A due
-  // short of the target means some receiver speculated past a message
-  // it should have delivered.
-  std::optional<SimTime> min_due;
-  for (const std::unique_ptr<EventLane>& lane : lanes_) {
-    for (const EventLane::Outgoing& out : lane->outbox_) {
-      if (!min_due.has_value() || out.due < *min_due) {
-        min_due = out.due;
-      }
-    }
-  }
-
-  if (speculative_round_ && min_due.has_value() && *min_due < target_) {
-    // Straggler: rewind the whole round. Every staged send is discarded
-    // — the deterministic replay regenerates the survivors — and the
-    // target drops to the last window boundary not past the straggler.
-    // Replay is then guaranteed to commit: the regenerated sends are a
-    // prefix subset of this round's, all of whose dues are >= min_due
-    // >= the reduced target.
-    ++stats_.rollbacks;
-    auto_depth_ /= 2;  // kAuto feedback; harmless otherwise
-    for (const std::unique_ptr<EventLane>& lane : lanes_) {
-      lane->outbox_.clear();
-    }
-    const i64 w = window_.picos();
-    const i64 floor_end = (min_due->picos() / w) * w;
-    target_ = SimTime{std::max(first_horizon_.picos(), floor_end)};
-    speculative_round_ = false;
-    restore_pending_ = true;
-    ++stats_.barriers;
-    return;  // same round re-executes from the checkpoint
-  }
-
-  // Commit. Retire the speculation machinery first: recycle retained
-  // scheduler nodes and pop the delivered ring prefixes.
-  for (const std::unique_ptr<EventLane>& lane : lanes_) {
-    if (lane->sched_.speculating()) {
-      lane->sched_.commit_speculation();
-    }
-    for (u32 src = 0; src < lane->inbox_.size(); ++src) {
-      lane->inbox_[src].consume(lane->peeked_[src]);
-      lane->peeked_[src] = 0;
-    }
-  }
   // Route staged sends in canonical (source id, FIFO) order.
   for (const std::unique_ptr<EventLane>& src : lanes_) {
     for (EventLane::Outgoing& out : src->outbox_) {
@@ -313,35 +170,21 @@ void LaneSet::finish_round() {
     src->outbox_.clear();
   }
 
-  // Residency + round accounting over the COMMITTED schedule only
-  // (rolled-back windows were wiped by restore_lane).
-  const i64 w = window_.picos();
-  const u64 committed_windows = static_cast<u64>(
-      (target_.picos() - first_horizon_.picos()) / w + 1);
-  stats_.windows += committed_windows;
-  if (round_speculated_) {
-    stats_.speculated_windows += committed_windows - 1;
-  }
+  ++stats_.windows;
   bool any_busy = false;
   for (const std::unique_ptr<EventLane>& lane : lanes_) {
-    any_busy = any_busy || lane->round_busy_windows_ > 0;
+    any_busy = any_busy || lane->round_busy_;
   }
   for (u32 i = 0; i < lanes_.size(); ++i) {
-    EventLane& lane = *lanes_[i];
     LaneResidency& res = stats_.residency[i];
-    res.busy_windows += lane.round_busy_windows_;
-    res.idle_windows += lane.round_idle_windows_;
-    if (lane.round_busy_windows_ == 0 && any_busy) {
-      ++res.barrier_waits;
+    if (lanes_[i]->round_busy_) {
+      ++res.busy_windows;
+    } else {
+      ++res.idle_windows;
+      res.barrier_waits += any_busy ? 1u : 0u;
     }
   }
   retune_window();
-  for (const std::unique_ptr<EventLane>& lane : lanes_) {
-    lane->round_busy_windows_ = 0;
-    lane->round_idle_windows_ = 0;
-  }
-  committed_ = target_;
-  round_speculated_ = false;
   begin_round();
 }
 
@@ -358,16 +201,6 @@ LaneSet::RunStats LaneSet::run(unsigned threads) {
   busy_ewma_x256_ = 0;
   messages_at_retune_ = 0;
   quiet_streak_ = 0;
-  auto_depth_ = 0;
-  if (config_.speculation.mode != SyncMode::kConservative &&
-      config_.speculation.depth > 0 && lanes_.size() > 1) {
-    // Speculation replays workload state: without a hook on every lane,
-    // a rollback would rewind the scheduler but not the state its
-    // events mutated. Refuse up front rather than corrupt silently.
-    for (const std::unique_ptr<EventLane>& lane : lanes_) {
-      VFPGA_EXPECTS(lane->hook_ != nullptr);
-    }
-  }
 
   if (!begin_round()) {
     return stats_;
@@ -377,27 +210,24 @@ LaneSet::RunStats LaneSet::run(unsigned threads) {
       std::max(threads, 1u), static_cast<unsigned>(lanes_.size()));
   if (workers <= 1) {
     while (!done_) {
-      for (const std::unique_ptr<EventLane>& lane : lanes_) {
-        step_lane(*lane);
-      }
+      step_claimed_lanes();
       finish_round();
     }
   } else {
     // Persistent workers, two phases per round. The barrier completion
     // callback is the single-threaded phase: every worker is blocked in
-    // arrive_and_wait while it applies the commit rule, and its return
-    // synchronizes-with every worker's wakeup — done_, the round
-    // bounds, and the restore flag need no further synchronization.
+    // arrive_and_wait while it routes messages and opens the next
+    // round, and its return synchronizes-with every worker's wakeup —
+    // done_, the horizon and the reset lane cursor need no further
+    // synchronization.
     std::barrier sync(static_cast<std::ptrdiff_t>(workers),
                       [this]() noexcept { finish_round(); });
     std::vector<std::jthread> pool;
     pool.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back([this, w, workers, &sync] {
+      pool.emplace_back([this, &sync] {
         while (!done_) {
-          for (std::size_t i = w; i < lanes_.size(); i += workers) {
-            step_lane(*lanes_[i]);
-          }
+          step_claimed_lanes();
           sync.arrive_and_wait();
         }
       });

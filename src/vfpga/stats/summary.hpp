@@ -47,17 +47,6 @@ class SampleSet {
   /// Merge another set into this one.
   void merge(const SampleSet& other);
 
-  /// Discard every sample past the first `n` (in insertion order) — the
-  /// rollback half of a checkpoint that saved count(). No-op when n >=
-  /// count().
-  void truncate(std::size_t n) {
-    if (n >= values_us_.size()) {
-      return;
-    }
-    values_us_.resize(n);
-    sorted_ = false;
-  }
-
  private:
   void ensure_sorted() const;
 

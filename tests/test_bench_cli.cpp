@@ -55,26 +55,23 @@ TEST(BenchCliDeathTest, CliThreadsExitsWithDiagnosticOnBadOperand) {
               ::testing::ExitedWithCode(2), "got \"4x\"");
 }
 
-// The strict argument check the benches run before parsing: every flag
-// CI passes is accepted, anything else is reported.
+// The strict argument check the benches run before parsing, with
+// sim_speed's argument lists: every flag CI passes is accepted,
+// anything else is reported.
 std::optional<std::string_view> unknown(std::initializer_list<const char*> args) {
   std::vector<char*> argv{const_cast<char*>("bench")};
   for (const char* a : args) {
     argv.push_back(const_cast<char*>(a));
   }
   return first_unknown_arg(static_cast<int>(argv.size()), argv.data(),
-                           {"--smoke", "--stats-only", "--workload-only",
-                            "--soak"},
-                           {"--sync", "--seed", "--threads"});
+                           {"--smoke", "--stats-only", "--soak"},
+                           {"--seed", "--threads"});
 }
 
 TEST(BenchCli, KnownArgumentsAreAccepted) {
   EXPECT_FALSE(unknown({}).has_value());
   EXPECT_FALSE(unknown({"--smoke", "--stats-only"}).has_value());
-  EXPECT_FALSE(unknown({"--smoke", "--sync", "optimistic", "--stats-only",
-                        "--workload-only"})
-                   .has_value());
-  EXPECT_FALSE(unknown({"--soak", "--smoke", "--sync=auto"}).has_value());
+  EXPECT_FALSE(unknown({"--soak", "--smoke"}).has_value());
   EXPECT_FALSE(unknown({"--seed", "7", "--threads=4"}).has_value());
   EXPECT_FALSE(unknown({"--threads", "2", "--seed=0x10"}).has_value());
 }
@@ -87,7 +84,16 @@ TEST(BenchCli, UnknownArgumentsAreReported) {
   EXPECT_EQ(unknown({"--smoke=1"}), "--smoke=1");  // switches take no value
   EXPECT_EQ(unknown({"--seedling"}), "--seedling");
   EXPECT_EQ(unknown({"--threads", "2", "3"}), "3");  // stray operand
-  EXPECT_EQ(unknown({"--smoke", "--sync"}), "--sync");  // operand missing
+  EXPECT_EQ(unknown({"--smoke", "--seed"}), "--seed");  // operand missing
+}
+
+// sim_speed has one sync mode, so the old mode flags are errors: a
+// stale script fails loudly (exit 2, see RequireKnownArgsExitsWithUsage
+// and the BenchCli.RemovedFlag ctests) instead of silently running.
+TEST(BenchCli, RemovedSyncFlagsAreReported) {
+  EXPECT_EQ(unknown({"--smoke", "--sync", "conservative"}), "--sync");
+  EXPECT_EQ(unknown({"--sync=optimistic"}), "--sync=optimistic");
+  EXPECT_EQ(unknown({"--stats-only", "--workload-only"}), "--workload-only");
 }
 
 TEST(BenchCliDeathTest, RequireKnownArgsExitsWithUsage) {

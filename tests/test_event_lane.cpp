@@ -1,5 +1,6 @@
 // Sharded event lanes: thread-count determinism, the conservative-window
-// invariant, cross-lane messaging semantics, and horizon skip-ahead.
+// invariant, cross-lane messaging semantics, horizon skip-ahead, the
+// adaptive window and per-lane residency.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -110,17 +111,27 @@ struct WorkloadSnapshot {
   std::vector<u64> checksums;
   std::vector<u32> fired;
   u64 windows = 0;
+  u64 barriers = 0;
   u64 events = 0;
   u64 messages = 0;
   u64 dropped = 0;
+  u64 window_growths = 0;
+  u64 window_shrinks = 0;
+  /// Per lane: busy windows, idle windows, barrier waits.
+  std::vector<std::array<u64, 3>> residency;
 
   bool operator==(const WorkloadSnapshot&) const = default;
 };
 
-WorkloadSnapshot run_workload(unsigned threads) {
+/// The order-sensitive checksum workload on 4 lanes, with a fixed
+/// window or under the adaptive controller.
+WorkloadSnapshot run_workload(unsigned threads, bool adaptive = false) {
   LaneSetConfig config;
   config.lanes = 4;
   config.window = microseconds(25);
+  config.adaptive.enabled = adaptive;
+  config.adaptive.min_window = microseconds(25);
+  config.adaptive.max_window = milliseconds(2);
   LaneSet set(config);
   std::vector<LaneWork> work(config.lanes);
   for (u32 i = 0; i < config.lanes; ++i) {
@@ -136,9 +147,16 @@ WorkloadSnapshot run_workload(unsigned threads) {
     snap.fired.push_back(w.fired);
   }
   snap.windows = stats.windows;
+  snap.barriers = stats.barriers;
   snap.events = stats.events;
   snap.messages = stats.messages;
   snap.dropped = stats.dropped;
+  snap.window_growths = stats.window_growths;
+  snap.window_shrinks = stats.window_shrinks;
+  for (const LaneSet::LaneResidency& lane : stats.residency) {
+    snap.residency.push_back(
+        {lane.busy_windows, lane.idle_windows, lane.barrier_waits});
+  }
   return snap;
 }
 
@@ -290,369 +308,63 @@ TEST(EventLane, SingleLaneControllerIsANoOp) {
   EXPECT_EQ(set.window(), config.window);
 }
 
-WorkloadSnapshot run_adaptive_workload(unsigned threads) {
-  LaneSetConfig config;
-  config.lanes = 4;
-  config.window = microseconds(25);
-  config.adaptive.enabled = true;
-  config.adaptive.min_window = microseconds(25);
-  config.adaptive.max_window = milliseconds(2);
-  LaneSet set(config);
-  std::vector<LaneWork> work(config.lanes);
-  for (u32 i = 0; i < config.lanes; ++i) {
-    work[i] = LaneWork{&set, &work, i, Xoshiro256{1000 + i}, 0, 0, 200};
-    set.lane(i).scheduler().schedule_at(SimTime{} + nanoseconds(i + 1),
-                                        [&work, i] { lane_step(work[i]); });
-  }
-  const LaneSet::RunStats stats = set.run(threads);
-  WorkloadSnapshot snap;
-  for (const LaneWork& w : work) {
-    snap.checksums.push_back(w.checksum);
-    snap.fired.push_back(w.fired);
-  }
-  snap.windows = stats.windows;
-  snap.events = stats.events;
-  snap.messages = stats.messages + stats.window_growths +
-                  stats.window_shrinks;  // fold controller moves into the diff
-  snap.dropped = stats.dropped;
-  return snap;
-}
-
 TEST(EventLane, AdaptiveControllerIsDeterministicAcrossThreadCounts) {
   // The controller feeds only on per-window event/message counts, which
   // are themselves deterministic — so its decisions (and everything
   // downstream of them) must be too.
-  const WorkloadSnapshot one = run_adaptive_workload(1);
+  const WorkloadSnapshot one = run_workload(1, true);
   EXPECT_EQ(one.fired, (std::vector<u32>{200, 200, 200, 200}));
   EXPECT_EQ(one.dropped, 0u);
-  EXPECT_EQ(run_adaptive_workload(2), one);
-  EXPECT_EQ(run_adaptive_workload(4), one);
+  EXPECT_EQ(run_workload(2, true), one);
+  EXPECT_EQ(run_workload(4, true), one);
 }
 
-// ---- ring overflow -----------------------------------------------------------
-
-// ---- optimistic sync ---------------------------------------------------------
-
-/// Hook-equipped variant of LaneWork: the same order-sensitive checksum
-/// workload, but checkpointable so the lane set may speculate past it.
-struct SpecWork final : LaneCheckpointHook {
-  LaneSet* set = nullptr;
-  std::vector<SpecWork>* all = nullptr;
-  u32 id = 0;
-  Xoshiro256 rng{0};
-  u64 checksum = 0;
-  u32 fired = 0;
-  u32 limit = 0;
-  u32 post_every = 3;  ///< every Nth step posts cross-lane; 0 = never
-
-  void save(migrate::StateWriter& w) override {
-    for (const u64 word : rng.state()) {
-      w.put_u64(word);
-    }
-    w.put_u64(checksum);
-    w.put_u32(fired);
-  }
-  void restore(migrate::StateReader& r) override {
-    std::array<u64, 4> state;
-    for (u64& word : state) {
-      word = r.get_u64();
-    }
-    rng.set_state(state);
-    checksum = r.get_u64();
-    fired = r.get_u32();
-  }
-};
-
-void spec_step(SpecWork& w) {
-  const u64 draw = w.rng();
-  w.checksum = w.checksum * 1'000'003ull + (draw >> 32);
-  ++w.fired;
-  if (w.post_every != 0 && w.fired % w.post_every == 0) {
-    const u32 dst = (w.id + 1) % static_cast<u32>(w.all->size());
-    std::vector<SpecWork>* all = w.all;
-    const u64 value = draw & 0xffff;
-    w.set->post(w.id, dst, w.set->post_horizon(w.id),
-                [all, dst, value] {
-                  (*all)[dst].checksum = (*all)[dst].checksum * 31ull + value;
-                });
-  }
-  if (w.fired < w.limit) {
-    const Duration gap =
-        from_nanos(50.0 + static_cast<double>(w.rng() % 200'000));
-    std::vector<SpecWork>* all = w.all;
-    const u32 id = w.id;
-    w.set->lane(w.id).scheduler().schedule_after(
-        gap, [all, id] { spec_step((*all)[id]); });
-  }
-}
-
-struct SpecRun {
-  WorkloadSnapshot snap;  ///< snap.windows zeroed — windows are mode-variant
-  LaneSet::RunStats stats;
-};
-
-SpecRun run_spec_workload(SyncMode mode, u32 depth, unsigned threads,
-                          u32 post_every) {
-  LaneSetConfig config;
-  config.lanes = 4;
-  config.window = microseconds(25);
-  config.speculation.mode = mode;
-  config.speculation.depth = depth;
-  LaneSet set(config);
-  std::vector<SpecWork> work(config.lanes);
-  for (u32 i = 0; i < config.lanes; ++i) {
-    work[i].set = &set;
-    work[i].all = &work;
-    work[i].id = i;
-    work[i].rng = Xoshiro256{1000 + i};
-    work[i].limit = 200;
-    work[i].post_every = post_every;
-    set.set_checkpoint_hook(i, &work[i]);
-    set.lane(i).scheduler().schedule_at(SimTime{} + nanoseconds(i + 1),
-                                        [&work, i] { spec_step(work[i]); });
-  }
-  SpecRun run;
-  run.stats = set.run(threads);
-  for (const SpecWork& w : work) {
-    run.snap.checksums.push_back(w.checksum);
-    run.snap.fired.push_back(w.fired);
-  }
-  run.snap.events = run.stats.events;
-  run.snap.messages = run.stats.messages;
-  run.snap.dropped = run.stats.dropped;
-  return run;
-}
-
-TEST(EventLane, OptimisticCommitsMatchConservativeBitForBit) {
-  // Chatty workload: every third step posts, so nearly every speculative
-  // round hits a straggler and rewinds — the worst case for optimism and
-  // the strongest equivalence check. Rollback must be invisible in the
-  // results at every thread count, including the cascaded case (a
-  // straggler rewinds all four lanes at once).
-  const SpecRun cons = run_spec_workload(SyncMode::kConservative, 0, 1, 3);
-  EXPECT_EQ(cons.snap.fired, (std::vector<u32>{200, 200, 200, 200}));
-  EXPECT_EQ(cons.stats.rollbacks, 0u);
-  EXPECT_EQ(cons.stats.speculative_rounds, 0u);
-  EXPECT_EQ(cons.stats.checkpoint_bytes, 0u);
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    const SpecRun opt =
-        run_spec_workload(SyncMode::kOptimistic, 3, threads, 3);
-    EXPECT_EQ(opt.snap, cons.snap) << "threads " << threads;
-    EXPECT_GT(opt.stats.rollbacks, 0u);
-    EXPECT_GT(opt.stats.checkpoint_bytes, 0u);
-  }
-}
-
-TEST(EventLane, QuietFleetCommitsSpeculatedWindowsWithoutRollback) {
-  // No cross-lane traffic at all: every speculative round commits its
-  // full depth and nothing ever rewinds.
-  const SpecRun cons = run_spec_workload(SyncMode::kConservative, 0, 1, 0);
-  const SpecRun opt = run_spec_workload(SyncMode::kOptimistic, 3, 2, 0);
-  EXPECT_EQ(opt.snap, cons.snap);
-  EXPECT_EQ(opt.stats.rollbacks, 0u);
-  EXPECT_GT(opt.stats.speculative_rounds, 0u);
-  EXPECT_GT(opt.stats.speculated_windows, 0u);
-  // Fewer barriers for the same committed windows is the whole point.
-  EXPECT_LT(opt.stats.barriers, cons.stats.barriers);
-}
-
-TEST(EventLane, AutoDepthIsDeterministicAndMatchesConservative) {
-  const SpecRun cons = run_spec_workload(SyncMode::kConservative, 0, 1, 5);
-  const SpecRun one = run_spec_workload(SyncMode::kAuto, 4, 1, 5);
-  const SpecRun four = run_spec_workload(SyncMode::kAuto, 4, 4, 5);
-  EXPECT_EQ(one.snap, cons.snap);
-  EXPECT_EQ(four.snap, cons.snap);
-  // The controller's decisions feed on deterministic observations, so
-  // the whole sync trajectory matches across thread counts too.
-  EXPECT_EQ(one.stats.rollbacks, four.stats.rollbacks);
-  EXPECT_EQ(one.stats.speculative_rounds, four.stats.speculative_rounds);
-  EXPECT_EQ(one.stats.speculated_windows, four.stats.speculated_windows);
-  EXPECT_EQ(one.stats.checkpoint_bytes, four.stats.checkpoint_bytes);
-}
-
-TEST(EventLane, DepthZeroDegeneratesToConservativeWithoutHooks) {
-  // depth 0 must take the conservative path exactly: no hooks required,
-  // no checkpoints taken, same windows AND barriers.
-  auto run_once = [](SyncMode mode, u32 depth) {
-    LaneSetConfig config;
-    config.lanes = 2;
-    config.window = microseconds(10);
-    config.speculation.mode = mode;
-    config.speculation.depth = depth;
-    LaneSet set(config);
-    Relay relay(set, 9);
-    relay.start();
-    return std::pair(set.run(2), relay.log().size());
-  };
-  const auto [cons, cons_hops] = run_once(SyncMode::kConservative, 3);
-  const auto [zero, zero_hops] = run_once(SyncMode::kOptimistic, 0);
-  EXPECT_EQ(zero_hops, cons_hops);
-  EXPECT_EQ(zero.windows, cons.windows);
-  EXPECT_EQ(zero.barriers, cons.barriers);
-  EXPECT_EQ(zero.speculative_rounds, 0u);
-  EXPECT_EQ(zero.rollbacks, 0u);
-  EXPECT_EQ(zero.checkpoint_bytes, 0u);
-}
-
-/// Minimal workload hook for the boundary tests: a monotone log whose
-/// checkpoint is just its length (replay re-appends deterministically).
-struct HookedLog final : LaneCheckpointHook {
-  std::vector<i64> times;
-  void save(migrate::StateWriter& w) override { w.put_u64(times.size()); }
-  void restore(migrate::StateReader& r) override {
-    times.resize(static_cast<std::size_t>(r.get_u64()));
-  }
-};
-
-TEST(EventLane, StragglerInsideTheSpeculatedRegionRollsBack) {
-  // A post from the FIRST window of a speculative round (due == the
-  // conservative horizon) is a straggler for the whole speculated
-  // region: the round must rewind and commit exactly the conservative
-  // window, and the message must run at the same simulated time a
-  // conservative run delivers it.
-  auto deliver_time = [](SyncMode mode) {
-    LaneSetConfig config;
-    config.lanes = 2;
-    config.window = microseconds(10);
-    config.speculation.mode = mode;
-    config.speculation.depth = 3;
-    LaneSet set(config);
-    std::array<HookedLog, 2> logs;
-    set.set_checkpoint_hook(0, &logs[0]);
-    set.set_checkpoint_hook(1, &logs[1]);
-    // Keep both lanes alive past the post so speculation has room.
-    for (int k = 1; k <= 6; ++k) {
-      set.lane(0).scheduler().schedule_at(
-          SimTime{} + microseconds(5 * k), [] {});
-      set.lane(1).scheduler().schedule_at(
-          SimTime{} + microseconds(5 * k), [] {});
-    }
-    HookedLog* log = &logs[1];
-    LaneSet* set_ptr = &set;
-    set.lane(0).scheduler().schedule_at(
-        SimTime{} + microseconds(1), [set_ptr, log] {
-          set_ptr->post(0, 1, set_ptr->post_horizon(0), [set_ptr, log] {
-            log->times.push_back(set_ptr->lane(1).now().picos());
-          });
-        });
-    const LaneSet::RunStats stats = set.run(1);
-    EXPECT_EQ(logs[1].times.size(), 1u);
-    return std::pair(logs[1].times.at(0), stats);
-  };
-  const auto [cons_time, cons_stats] =
-      deliver_time(SyncMode::kConservative);
-  const auto [opt_time, opt_stats] = deliver_time(SyncMode::kOptimistic);
-  EXPECT_EQ(opt_time, cons_time);
-  EXPECT_EQ(cons_stats.rollbacks, 0u);
-  EXPECT_GE(opt_stats.rollbacks, 1u);
-}
-
-TEST(EventLane, PostDueAtTheRoundTargetCommitsWithoutRollback) {
-  // The boundary case on the other side: a post whose due lands exactly
-  // ON the round target is NOT a straggler — execution never passes the
-  // target, so the message could not have been missed.
-  LaneSetConfig config;
-  config.lanes = 2;
-  config.window = microseconds(10);
-  config.speculation.mode = SyncMode::kOptimistic;
-  config.speculation.depth = 1;  // rounds span exactly two windows
-  LaneSet set(config);
-  std::array<HookedLog, 2> logs;
-  set.set_checkpoint_hook(0, &logs[0]);
-  set.set_checkpoint_hook(1, &logs[1]);
-  LaneSet* set_ptr = &set;
-  HookedLog* log = &logs[1];
-  // Events at 5us and 15us: the round is windows (0,10] + (10,20]. The
-  // 15us event posts from the SECOND (last) window — due = 20us = the
-  // target exactly.
-  set.lane(0).scheduler().schedule_at(SimTime{} + microseconds(5), [] {});
-  set.lane(0).scheduler().schedule_at(
-      SimTime{} + microseconds(15), [set_ptr, log] {
-        set_ptr->post(0, 1, set_ptr->post_horizon(0), [set_ptr, log] {
-          log->times.push_back(set_ptr->lane(1).now().picos());
-        });
-      });
-  const LaneSet::RunStats stats = set.run(1);
-  EXPECT_EQ(stats.rollbacks, 0u);
-  EXPECT_GE(stats.speculated_windows, 1u);
-  ASSERT_EQ(logs[1].times.size(), 1u);
-  EXPECT_EQ(logs[1].times.at(0), microseconds(20).picos());
-}
-
-TEST(EventLane, RollbackReplayRoutesBurstDropsOnceNotTwice) {
-  // A burst overflowing a tiny ring, inside a speculative round that
-  // rolls back: the staged posts are discarded wholesale and re-staged
-  // by the replay, so the ring sees the burst exactly once — same
-  // messages, same drops, same deliveries as conservative, no double
-  // counting from the rollback.
-  auto run_once = [](SyncMode mode) {
-    LaneSetConfig config;
-    config.lanes = 2;
-    config.window = microseconds(10);
-    config.ring_capacity = 2;
-    config.speculation.mode = mode;
-    config.speculation.depth = 2;
-    LaneSet set(config);
-    std::array<HookedLog, 2> logs;
-    set.set_checkpoint_hook(0, &logs[0]);
-    set.set_checkpoint_hook(1, &logs[1]);
-    // Keep lane 1 alive deep into the round so the burst's dues land
-    // short of the target and force the rollback.
-    for (int k = 1; k <= 4; ++k) {
-      set.lane(1).scheduler().schedule_at(
-          SimTime{} + microseconds(5 * k), [] {});
-    }
-    LaneSet* set_ptr = &set;
-    HookedLog* log = &logs[1];
-    set.lane(0).scheduler().schedule_at(
-        SimTime{} + microseconds(1), [set_ptr, log] {
-          for (int i = 0; i < 5; ++i) {
-            set_ptr->post(0, 1, set_ptr->post_horizon(0), [set_ptr, log] {
-              log->times.push_back(set_ptr->lane(1).now().picos());
-            });
-          }
-        });
-    const LaneSet::RunStats stats = set.run(1);
-    return std::pair(stats, logs[1].times);
-  };
-  const auto [cons, cons_times] = run_once(SyncMode::kConservative);
-  const auto [opt, opt_times] = run_once(SyncMode::kOptimistic);
-  EXPECT_EQ(cons.messages, 2u);  // ring capacity
-  EXPECT_EQ(cons.dropped, 3u);
-  EXPECT_EQ(opt.messages, 2u);
-  EXPECT_EQ(opt.dropped, 3u);
-  EXPECT_GE(opt.rollbacks, 1u);
-  EXPECT_EQ(opt_times, cons_times);
-}
+// ---- residency and lane claiming -------------------------------------------
 
 TEST(EventLane, ResidencyPartitionsCommittedWindowsDeterministically) {
-  const SpecRun one = run_spec_workload(SyncMode::kOptimistic, 2, 1, 4);
-  const SpecRun four = run_spec_workload(SyncMode::kOptimistic, 2, 4, 4);
-  ASSERT_EQ(one.stats.residency.size(), 4u);
+  const WorkloadSnapshot one = run_workload(1);
+  ASSERT_EQ(one.residency.size(), 4u);
   u64 total_busy = 0;
   for (u32 i = 0; i < 4; ++i) {
-    const LaneSet::LaneResidency& lane = one.stats.residency[i];
-    // Every committed window is attributed exactly once per lane.
-    EXPECT_EQ(lane.busy_windows + lane.idle_windows, one.stats.windows)
-        << "lane " << i;
-    EXPECT_LE(lane.barrier_waits, one.stats.barriers);
-    total_busy += lane.busy_windows;
-    EXPECT_EQ(lane.busy_windows, four.stats.residency[i].busy_windows);
-    EXPECT_EQ(lane.idle_windows, four.stats.residency[i].idle_windows);
-    EXPECT_EQ(lane.barrier_waits, four.stats.residency[i].barrier_waits);
+    const auto [busy, idle, waits] = one.residency[i];
+    // Every window is attributed exactly once per lane.
+    EXPECT_EQ(busy + idle, one.windows) << "lane " << i;
+    EXPECT_LE(waits, one.barriers);
+    total_busy += busy;
   }
   EXPECT_GT(total_busy, 0u);
+  EXPECT_EQ(run_workload(4).residency, one.residency);
 }
 
-TEST(EventLaneDeathTest, SpeculationWithoutHooksAborts) {
+TEST(EventLane, FewerWorkersThanLanesStepEveryLaneOncePerRound) {
+  // Workers claim lanes off a per-round cursor: with 3 workers over 16
+  // lanes every lane must still run its window exactly once per round,
+  // whichever worker claims it. Each lane fires one event per window.
+  constexpr u32 kLanes = 16;
+  constexpr int kRounds = 50;
   LaneSetConfig config;
-  config.lanes = 2;
+  config.lanes = kLanes;
   config.window = microseconds(10);
-  config.speculation.mode = SyncMode::kOptimistic;
-  config.speculation.depth = 2;
-  LaneSet set(config);  // no set_checkpoint_hook calls
-  set.lane(0).scheduler().schedule_at(SimTime{} + microseconds(1), [] {});
-  EXPECT_DEATH(set.run(1), "");
+  LaneSet set(config);
+  std::vector<std::vector<i64>> fired(kLanes);
+  for (u32 l = 0; l < kLanes; ++l) {
+    for (int k = 0; k < kRounds; ++k) {
+      set.lane(l).scheduler().schedule_at(
+          SimTime{} + microseconds(10 * k + 1),
+          [&set, &fired, l] { fired[l].push_back(set.lane(l).now().picos()); });
+    }
+  }
+  const LaneSet::RunStats stats = set.run(3);
+  EXPECT_EQ(stats.windows, static_cast<u64>(kRounds));
+  EXPECT_EQ(stats.events, u64{kLanes} * kRounds);
+  for (u32 l = 0; l < kLanes; ++l) {
+    ASSERT_EQ(fired[l].size(), static_cast<std::size_t>(kRounds));
+    EXPECT_EQ(stats.residency[l].busy_windows, static_cast<u64>(kRounds));
+    for (std::size_t k = 0; k < fired[l].size(); ++k) {
+      const i64 round = static_cast<i64>(k);
+      EXPECT_EQ(fired[l][k], microseconds(10 * round + 1).picos());
+    }
+  }
 }
 
 TEST(EventLane, FullRingDropsAreCountedNotLost) {

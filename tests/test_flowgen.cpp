@@ -247,71 +247,5 @@ TEST(FlowGen, FootprintCountsLazySteerTablesAndMeetsTheBudget) {
   EXPECT_LE(bytes_per_flow, 48.0);
 }
 
-// ---- in-process checkpoint (optimistic lane sync) ---------------------------
-
-TEST(FlowGen, SaveLoadRoundTripResumesTheExactStream) {
-  FlowGenConfig config = tiny_config();
-  FlowGen gen(config);
-  FlowGen twin(config);
-  // Lockstep driver with churn so freelists and counters get exercised
-  // before the checkpoint, not just the fresh carve state.
-  auto advance = [](FlowGen& g, int steps) {
-    for (int step = 0; step < steps; ++step) {
-      const u32 slot = static_cast<u32>(step) % g.slots();
-      if (g.next_packet(slot).fin) {
-        ASSERT_TRUE(g.churn_slot(slot).has_value());
-      }
-    }
-  };
-  advance(gen, 2'000);
-  advance(twin, 2'000);
-
-  migrate::StateWriter writer;
-  gen.save_state(writer);
-  const auto image = writer.take();
-
-  // Diverge the checkpointed generator well past the twin...
-  advance(gen, 1'500);
-
-  // ...then rewind it. The rollback must be invisible: both generators
-  // emit bit-identical departures from the checkpoint onward.
-  migrate::StateReader reader{ConstByteSpan{image}};
-  gen.load_state(reader);
-  ASSERT_FALSE(reader.failed());
-  EXPECT_EQ(gen.open_flows(), twin.open_flows());
-  EXPECT_EQ(gen.flows_created(), twin.flows_created());
-  EXPECT_EQ(gen.flows_completed(), twin.flows_completed());
-  EXPECT_EQ(gen.footprint_bytes(), twin.footprint_bytes());
-  for (int step = 0; step < 2'000; ++step) {
-    const u32 slot = static_cast<u32>(step) % gen.slots();
-    ASSERT_EQ(gen.flow(slot).src_port, twin.flow(slot).src_port);
-    const FlowGen::Departure da = gen.next_packet(slot);
-    const FlowGen::Departure db = twin.next_packet(slot);
-    ASSERT_EQ(da.flow_id, db.flow_id);
-    ASSERT_EQ(da.payload_bytes, db.payload_bytes);
-    ASSERT_EQ(da.gap.picos(), db.gap.picos());
-    ASSERT_EQ(da.fin, db.fin);
-    if (da.fin) {
-      const auto ga = gen.churn_slot(slot);
-      const auto gb = twin.churn_slot(slot);
-      ASSERT_TRUE(ga.has_value());
-      ASSERT_TRUE(gb.has_value());
-      ASSERT_EQ(ga->picos(), gb->picos());
-    }
-  }
-}
-
-TEST(FlowGen, LoadStateRejectsATruncatedImage) {
-  FlowGen gen(tiny_config());
-  migrate::StateWriter writer;
-  gen.save_state(writer);
-  auto image = writer.take();
-  image.resize(image.size() / 2);
-  migrate::StateReader reader{ConstByteSpan{image}};
-  FlowGen victim(tiny_config());
-  victim.load_state(reader);
-  EXPECT_TRUE(reader.failed());
-}
-
 }  // namespace
 }  // namespace vfpga::net

@@ -46,18 +46,6 @@ TEST(ParallelHarness, MatchesSequentialBitForBit) {
   }
 }
 
-TEST(ParallelHarness, RunParallelExecutesEveryTaskOnce) {
-  std::vector<int> counts(64, 0);
-  std::vector<std::function<void()>> tasks;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    tasks.emplace_back([&counts, i] { ++counts[i]; });
-  }
-  run_parallel(std::move(tasks), 8);
-  for (int count : counts) {
-    EXPECT_EQ(count, 1);
-  }
-}
-
 TEST(ParallelHarness, WorkerThreadsRespectsEnvAndCellCount) {
   ::setenv("VFPGA_THREADS", "3", 1);
   EXPECT_EQ(worker_threads(10), 3u);

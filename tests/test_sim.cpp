@@ -310,72 +310,6 @@ TEST(Scheduler, StopExitsRunLoop) {
   EXPECT_EQ(fired, 1);
 }
 
-// ---- speculation (optimistic lane sync) --------------------------------------
-
-TEST(Scheduler, SpeculationCommitKeepsExecutedStateAndRecyclesNodes) {
-  Scheduler sched;
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) {
-    sched.schedule_at(SimTime{100 * (i + 1)}, [&order, i] {
-      order.push_back(i);
-    });
-  }
-  sched.run_until(SimTime{150});  // event 0 fires pre-mark
-  sched.begin_speculation();
-  EXPECT_TRUE(sched.speculating());
-  sched.run_until(SimTime{350});  // events 1, 2 fire speculatively
-  sched.commit_speculation();
-  EXPECT_FALSE(sched.speculating());
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(sched.executed(), 3u);
-  // Committed fired nodes went back to the pool: the arena holds only
-  // the one still-pending event.
-  EXPECT_EQ(sched.arena().live(), 1u);
-  sched.run_until_idle();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(Scheduler, SpeculationRollbackReplaysIdentically) {
-  Scheduler sched;
-  std::vector<std::pair<int, i64>> log;  // (tag, fire time)
-  int chained = 0;
-  // Pre-mark events; one of them schedules MORE work when it fires, so
-  // rollback must also unwind speculatively-scheduled events.
-  for (int i = 0; i < 3; ++i) {
-    sched.schedule_at(SimTime{100 * (i + 1)}, [&, i] {
-      log.push_back({i, sched.now().picos()});
-      if (i == 1) {
-        ++chained;
-        sched.schedule_at(SimTime{999}, [&] {
-          log.push_back({99, sched.now().picos()});
-        });
-      }
-    });
-  }
-  sched.run_until(SimTime{150});
-  const u64 executed_at_mark = sched.executed();
-
-  sched.begin_speculation();
-  sched.run_until(SimTime{400});  // fires events 1 and 2
-  EXPECT_EQ(log.size(), 3u);
-  sched.rollback_speculation();
-  EXPECT_EQ(sched.now(), SimTime{150});
-  EXPECT_EQ(sched.executed(), executed_at_mark);
-  EXPECT_EQ(chained, 1);  // side effects are the HOOK's job, not ours
-
-  // Replay: identical (when, seq) order, and the speculatively chained
-  // event at t=999 was unwound — it reappears only via the re-fire.
-  const std::vector<std::pair<int, i64>> first(log);
-  log.clear();
-  log.push_back(first[0]);
-  sched.run_until_idle();
-  ASSERT_EQ(log.size(), 4u);
-  EXPECT_EQ(log[1], first[1]);
-  EXPECT_EQ(log[2], first[2]);
-  EXPECT_EQ(log[3], (std::pair<int, i64>{99, 999}));
-  EXPECT_EQ(chained, 2);
-}
-
 // ---- SmallFn + event arena ---------------------------------------------------
 
 TEST(SmallFn, InlineCaptureAllocatesNothing) {
